@@ -15,8 +15,8 @@ def run_x2():
     out = []
     for n_aggs in (2, 4, 8, 16):
         cfg = CollectiveConfig(n_ranks=4 * n_aggs, n_aggregators=n_aggs)
-        naive = run_collective_write(cfg, params, layout_aware=False)
-        aware = run_collective_write(cfg, params, layout_aware=True)
+        naive = run_collective_write(cfg, params, scheme="naive-even")
+        aware = run_collective_write(cfg, params, scheme="layout-aware")
         gain = (naive.makespan_s - aware.makespan_s) / naive.makespan_s
         out.append((n_aggs, naive, aware, gain))
     return out

@@ -38,20 +38,20 @@ BUFFER_PKTS = 32
 SCHEMES = ("naive-even", "layout-aware", "fabric-aware")
 
 #: Pre-PR collective makespans under the ideal fabric (exact floats).
-#: Key: (params, n_aggregators, layout_aware) → makespan_s.
+#: Key: (params, n_aggregators, scheme) → makespan_s.
 IDEAL_GOLDENS = {
-    ("gpfs4", 2, False): 0.039750954356198756,
-    ("gpfs4", 2, True): 0.017974322254996494,
-    ("gpfs4", 4, False): 0.08769074548458544,
-    ("gpfs4", 4, True): 0.025483284068428005,
-    ("gpfs4", 8, False): 0.18357032621426014,
-    ("gpfs4", 8, True): 0.04065557538482672,
-    ("generic8", 2, False): 0.03184149671860396,
-    ("generic8", 2, True): 0.014493632143165593,
-    ("generic8", 4, False): 0.07018829095820493,
-    ("generic8", 4, True): 0.017715072477218687,
-    ("generic8", 8, False): 0.12721696250402018,
-    ("generic8", 8, True): 0.025468674147484542,
+    ("gpfs4", 2, "naive-even"): 0.039750954356198756,
+    ("gpfs4", 2, "layout-aware"): 0.017974322254996494,
+    ("gpfs4", 4, "naive-even"): 0.08769074548458544,
+    ("gpfs4", 4, "layout-aware"): 0.025483284068428005,
+    ("gpfs4", 8, "naive-even"): 0.18357032621426014,
+    ("gpfs4", 8, "layout-aware"): 0.04065557538482672,
+    ("generic8", 2, "naive-even"): 0.03184149671860396,
+    ("generic8", 2, "layout-aware"): 0.014493632143165593,
+    ("generic8", 4, "naive-even"): 0.07018829095820493,
+    ("generic8", 4, "layout-aware"): 0.017715072477218687,
+    ("generic8", 8, "naive-even"): 0.12721696250402018,
+    ("generic8", 8, "layout-aware"): 0.025468674147484542,
 }
 
 
@@ -62,10 +62,10 @@ def _golden_params():
 def run_ideal_goldens():
     params = _golden_params()
     out = {}
-    for (pname, n, layout_aware) in IDEAL_GOLDENS:
+    for (pname, n, scheme) in IDEAL_GOLDENS:
         cfg = CollectiveConfig(n_ranks=4 * n, n_aggregators=n)
-        r = run_collective_write(cfg, params[pname], layout_aware=layout_aware)
-        out[(pname, n, layout_aware)] = r.makespan_s
+        r = run_collective_write(cfg, params[pname], scheme=scheme)
+        out[(pname, n, scheme)] = r.makespan_s
     return out
 
 
@@ -73,9 +73,9 @@ def test_x17_ideal_fabric_bit_identical(run_once):
     """fabric=None collective results match the pre-PR engine exactly."""
     got = run_once(run_ideal_goldens)
     rows = [
-        [p, n, "layout" if la else "naive", f"{got[(p, n, la)]:.9f}",
-         "ok" if got[(p, n, la)] == want else "DRIFT"]
-        for (p, n, la), want in IDEAL_GOLDENS.items()
+        [p, n, scheme.split("-")[0], f"{got[(p, n, scheme)]:.9f}",
+         "ok" if got[(p, n, scheme)] == want else "DRIFT"]
+        for (p, n, scheme), want in IDEAL_GOLDENS.items()
     ]
     print_table(
         "X17a: ideal-fabric goldens (bit-identical with pre-fabric engine)",

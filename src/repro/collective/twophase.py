@@ -133,18 +133,15 @@ class CollectiveResult:
 def run_collective_write(
     config: CollectiveConfig,
     params: PFSParams,
-    layout_aware: bool = False,
     path: str = "/out",
     *,
-    scheme: str | None = None,
+    scheme: str = "naive-even",
     feedback=None,
     tenant: str = "default",
 ) -> CollectiveResult:
     """Simulate phase-1 shuffle + phase-2 aggregator writes.
 
-    ``scheme`` selects among :data:`SCHEMES`; the legacy boolean
-    ``layout_aware`` is kept for callers predating the fabric-aware
-    scheme and maps to ``"layout-aware"`` / ``"naive-even"``.
+    ``scheme`` selects among :data:`SCHEMES`.
 
     Phase 1: with the (default) ideal fabric each aggregator absorbs its
     domain's bytes in one flat ``nbytes / shuffle_Bps`` interval — the
@@ -173,8 +170,6 @@ def run_collective_write(
     and ``critical_path(tracer)`` over the resulting span tree sums to
     the measured makespan.
     """
-    if scheme is None:
-        scheme = "layout-aware" if layout_aware else "naive-even"
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     sim = Simulator()

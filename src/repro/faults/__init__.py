@@ -8,6 +8,8 @@ This package closes the loop:
 * :class:`FaultSchedule` / :class:`FaultEvent` — deterministic, seeded
   timed faults (server crash/recover, disk slowdown, fabric port
   blackout, application interrupts) injected as simulator processes;
+* :class:`FaultableServer` — the one crash/park/recover/slowdown
+  implementation every simulated server class derives from;
 * :class:`ResilienceParams` — per-op timeouts, retry budget, capped
   exponential backoff with jitter for ``SimPFS`` clients;
 * :class:`RedundancySpec` — the ``PFSParams.redundancy`` knob
@@ -23,12 +25,14 @@ active :mod:`repro.obs` registry under ``faults.*``; see docs/faults.md.
 from repro.faults.errors import FaultError, OpTimeout, RetriesExhausted, ServerDown
 from repro.faults.resilience import RedundancySpec, ResilienceParams
 from repro.faults.schedule import KINDS, FaultEvent, FaultSchedule
+from repro.faults.server import FaultableServer
 
 __all__ = [
     "KINDS",
     "FaultError",
     "FaultEvent",
     "FaultSchedule",
+    "FaultableServer",
     "OpTimeout",
     "RedundancySpec",
     "ResilienceParams",

@@ -278,6 +278,15 @@ class FaultSchedule:
 
     @staticmethod
     def _apply(ev: FaultEvent, pfs) -> None:
+        """Apply one event to a target system (``SimPFS``, ``GigaService``).
+
+        The whole contract: ``pfs.servers[i]`` is a
+        :class:`repro.faults.server.FaultableServer` (the single
+        implementation of ``crash(park=)`` / ``recover()`` /
+        ``set_disk_slowdown()``), ``pfs.topology`` is a
+        :class:`repro.net.fabric.Topology`, and a system with durable
+        state offers ``lose_disk(server)``.
+        """
         if ev.kind == "server_crash":
             pfs.servers[ev.target].crash(park=ev.park)
         elif ev.kind == "server_recover":

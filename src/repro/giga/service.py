@@ -48,9 +48,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.faults.errors import RetriesExhausted
+from repro.faults.server import FaultableServer
 from repro.giga.mapping import GigaBitmap, hash_name
 from repro.net.fabric import IDEAL_FABRIC, FabricParams, Link, Topology
-from repro.sim import Acquire, Resource, Simulator, Timeout, Wait
+from repro.sim import Acquire, Resource, Simulator, Timeout
 from repro.sim.stats import Counter
 
 
@@ -72,7 +73,7 @@ class ServiceParams:
 
     n_servers: int = 8
     split_threshold: int = 64         # entries per partition before a split
-    op_service_s: float = 0.3e-3      # create/stat/lookup CPU cost per op
+    op_service_s: float = 0.3e-3      # create/lookup CPU cost per op
     per_entry_move_s: float = 4e-6    # split relocation cost per entry
     client_rpc_s: float = 0.1e-3      # software round-trip overhead per hop
     coord_rpc_s: float = 0.05e-3      # coordinator map-fetch service time
@@ -130,10 +131,6 @@ class ShardMap:
         i = bisect.bisect_right(self._keys, hash_name(f"part:{partition}"))
         return self._points[i % len(self._points)][1]
 
-    def owner_of_name(self, bitmap: GigaBitmap, name: str) -> int:
-        """Owner of ``name`` as addressed through ``bitmap``."""
-        return self.owner(bitmap.partition_of_name(name))
-
     def without(self, server: int) -> "ShardMap":
         """The next map version with ``server`` failed off the ring."""
         return ShardMap(
@@ -187,24 +184,24 @@ class Coordinator:
             return  # recovered inside the detection window, or already out
         self.online.discard(server)
         self.offline.add(server)
-        self.map = self.map.without(server)
         self.failovers += 1
-        self.service.counters.add("failovers")
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.gauge("giga.svc.map_version").set(float(self.map.version))
+        self._publish(self.map.without(server), "failovers")
 
     def notice_recover(self, server: int) -> None:
         if not self.service.servers[server].up or server not in self.offline:
             return
         self.offline.discard(server)
         self.online.add(server)
-        self.map = self.map.with_server(server)
         self.rejoins += 1
-        self.service.counters.add("rejoins")
+        self._publish(self.map.with_server(server), "rejoins")
+
+    def _publish(self, new_map: ShardMap, counter: str) -> None:
+        """Make ``new_map`` current after a membership change."""
+        self.map = new_map
+        self.service.counters.add(counter)
         obs = self.sim.obs
         if obs is not None:
-            obs.metrics.gauge("giga.svc.map_version").set(float(self.map.version))
+            obs.metrics.gauge("giga.svc.map_version").set(float(new_map.version))
 
     # -- client-facing map fetch (a simulation process) -----------------
     def fetch_map(self, ctx=None):
@@ -216,79 +213,39 @@ class Coordinator:
         return self.map
 
 
-class MetadataServer:
+class MetadataServer(FaultableServer):
     """One metadata server: a service thread plus crash/recover state.
 
-    The fault surface matches :class:`repro.pfs.system._StorageServer`
-    so :class:`repro.faults.FaultSchedule` drives it unchanged:
-    ``crash(park=False)`` rejects requests instantly (connection
-    refused — clients retry through the coordinator), ``park=True``
-    holds them until recovery (silent non-response), and
-    ``set_disk_slowdown`` multiplies op service time.  A request — or a
-    partition split — already *in service* when a park-crash lands runs
-    to completion; a reject-crash aborts an in-flight split before its
-    commit (the in-memory half of the split dies with the process), so
-    a mid-split crash can never mint a half-moved partition.
+    Availability and slowdown state is the shared
+    :class:`~repro.faults.server.FaultableServer` contract, so
+    :class:`repro.faults.FaultSchedule` drives the service like a
+    ``SimPFS``.  What differs here: a rejected request returns ``"down"``
+    (clients retry through the coordinator), ``slowdown`` multiplies op
+    service time, and the coordinator notices each transition one
+    heartbeat timeout later.  A partition split already *in service*
+    when a park-crash lands runs to completion; a reject-crash aborts an
+    in-flight split before its commit (the in-memory half of the split
+    dies with the process), so a mid-split crash can never mint a
+    half-moved partition.
     """
 
     def __init__(self, sim: Simulator, index: int, service: "GigaService") -> None:
-        self.sim = sim
-        self.index = index
+        super().__init__(sim, index, f"mds{index}", service.counters)
         self.service = service
         self.res = Resource(sim, capacity=1, name=f"mds{index}")
-        self.up = True
-        self.park = False
-        self.slowdown = 1.0
-        self._up_event = None
-        self._down_span = None
 
-    def crash(self, park: bool = False) -> None:
-        """Take the server down; the coordinator notices a heartbeat later."""
-        if not self.up:
-            self.park = park
-            return
-        self.up = False
-        self.park = park
-        self._up_event = self.sim.event(f"mds{self.index}.up")
-        self.service.counters.add("crashes")
+    # the coordinator notices a heartbeat timeout later
+    def _on_crash(self) -> None:
+        svc = self.service
         self.sim.call_after(
-            self.service.params.failover_detect_s,
-            self.service.coordinator.notice_crash,
-            self.index,
+            svc.params.failover_detect_s, svc.coordinator.notice_crash, self.index
         )
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.gauge("faults.servers_down").inc()
-            self._down_span = obs.tracer.start(
-                "faults.server_down", at=self.sim.now, server=self.index, park=park
-            )
 
-    def recover(self) -> None:
-        """Bring the server back; parked requests drain FIFO."""
-        if self.up:
-            return
-        self.up = True
-        self.service.counters.add("recoveries")
-        ev, self._up_event = self._up_event, None
-        if ev is not None:
-            ev.succeed(self.sim.now)
+    def _on_recover(self) -> None:
+        svc = self.service
         self.sim.call_after(
-            self.service.params.failover_detect_s,
-            self.service.coordinator.notice_recover,
-            self.index,
+            svc.params.failover_detect_s, svc.coordinator.notice_recover, self.index
         )
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.gauge("faults.servers_down").dec()
-        if self._down_span is not None:
-            self._down_span.finish(at=self.sim.now)
-            self._down_span = None
-
-    def set_disk_slowdown(self, multiplier: float) -> None:
-        if multiplier <= 0:
-            raise ValueError("slowdown multiplier must be positive")
-        self.slowdown = multiplier
-        self.service.counters.add("slowdowns")
 
 
 @dataclass
@@ -303,9 +260,6 @@ class ServiceClient:
     bitmap: GigaBitmap
     map: ShardMap
     tenant: str = "default"
-    redirects: int = 0
-    dead_hops: int = 0
-    ops: int = 0
 
 
 class GigaService:
@@ -349,29 +303,20 @@ class GigaService:
         """A new client with a maximally stale bitmap and the current map."""
         return ServiceClient(client_id, GigaBitmap(), self.coordinator.map, tenant)
 
-    def server_rack(self, server: int) -> int:
-        """Rack of a metadata server (0 under a flat fabric)."""
-        return self.topology.server_rack(server)
-
     # -- server-side op (simulation process) ---------------------------
     def _serve(self, server_idx: int, kind: str, name: str, h: int):
         """Serve one op on ``server_idx``; returns ``(status, payload)``.
 
         ``status`` is ``"ok"`` (payload: True/False membership for
-        lookup/stat, hop count irrelevant here), ``"redirect"`` (the
+        lookup, hop count irrelevant here), ``"redirect"`` (the
         client must merge the authoritative bitmap + current map and
         retry at the new owner), or ``"down"`` (connection refused —
         retry through the coordinator).
         """
         p = self.params
         srv = self.servers[server_idx]
-        if not srv.up:
-            if srv.park:
-                while not srv.up:
-                    yield Wait(srv._up_event)
-            else:
-                self.counters.add("requests_rejected")
-                return "down", None
+        if not srv.up and not (yield from srv._parked_until_up()):
+            return "down", None
         grant = yield Acquire(srv.res)
         yield Timeout(p.op_service_s * srv.slowdown)
         true_partition = self.bitmap.partition_of(h)
@@ -388,9 +333,9 @@ class GigaService:
             self.counters.add("creates")
             if len(bucket) > p.split_threshold:
                 yield from self._split(true_partition, server_idx)
-        else:  # lookup / stat share the read path
+        else:  # lookup
             payload = name in self.entries.get(true_partition, {})
-            self.counters.add("lookups" if kind == "lookup" else "stats")
+            self.counters.add("lookups")
         srv.res.release(grant)
         return "ok", payload
 
@@ -428,21 +373,16 @@ class GigaService:
     # -- client-side ops (simulation processes) -------------------------
     def client_create(self, client: ServiceClient, name: str, ctx=None):
         """Create ``name``; returns hops taken (1 = no redirect)."""
-        return (yield from self._client_op("create", client, name, ctx))
+        _, hops = yield from self._client_op("create", client, name, ctx)
+        return hops
 
     def client_lookup(self, client: ServiceClient, name: str, ctx=None):
         """Membership lookup; returns ``(found, hops)``."""
-        hops = yield from self._client_op("lookup", client, name, ctx)
-        return self._last_payload, hops
-
-    def client_stat(self, client: ServiceClient, name: str, ctx=None):
-        """Stat (same cost surface as lookup); returns ``(found, hops)``."""
-        hops = yield from self._client_op("stat", client, name, ctx)
-        return self._last_payload, hops
-
-    _last_payload: object = None
+        return (yield from self._client_op("lookup", client, name, ctx))
 
     def _client_op(self, kind: str, client: ServiceClient, name: str, ctx=None):
+        """Address, send and (on redirect / dead hop) retry one op;
+        returns ``(payload, hops)``."""
         p = self.params
         obs = self.sim.obs
         span = None
@@ -460,11 +400,9 @@ class GigaService:
             yield from self._rpc(client.client_id, target, ctx)
             status, payload = yield from self._serve(target, kind, name, h)
             if status == "ok":
-                self._last_payload = payload
                 break
             if status == "redirect":
                 redirects += 1
-                client.redirects += 1
                 self.counters.add("redirects")
                 # the stale-bitmap hint: merge the authoritative split
                 # history and the current map off the reply
@@ -477,7 +415,6 @@ class GigaService:
                     )
             else:  # dead target: back off, re-fetch the map, retry
                 dead += 1
-                client.dead_hops += 1
                 self.counters.add("dead_hops")
                 if ctx is not None:
                     ctx.retries += 1
@@ -488,13 +425,12 @@ class GigaService:
                     )
                 yield Timeout(p.retry_backoff_s)
                 client.map = yield from self.coordinator.fetch_map(ctx)
-        client.ops += 1
         if span is not None:
             span.attrs["hops"] = hops
             span.attrs["redirects"] = redirects
             span.attrs["retries"] = dead
             span.finish(at=self.sim.now)
-        return hops
+        return payload, hops
 
     def _rpc(self, client_id: int, server_idx: int, ctx=None):
         """One client→server network leg.

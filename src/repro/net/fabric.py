@@ -189,7 +189,7 @@ class FabricParams:
     rtt_s: base round-trip time in seconds (default 100 µs, one
         datacenter switch hop).  Exact mode: one RTT per window round.
         Fluid mode: the per-round term of the latency surcharge and the
-        default ``fluid_tick_s``.
+        rate-recompute / completion-batch tick.
     min_rto_s: minimum retransmission timeout in seconds (default 0.2 —
         the historical 200 ms TCP floor whose reduction to ~1 ms is the
         published incast fix).  Exact mode: full-window-loss sit-out.
@@ -208,10 +208,6 @@ class FabricParams:
         default) keeps the flat single-switch topology.  Both modes
         (fluid flows hold shares on every hop of the spine path).
     mode: ``"exact"`` (default) or ``"fluid"`` — see above.
-    fluid_tick_s: fluid-mode rate-recompute / completion-batch interval
-        in seconds; ``None`` (the default) means one ``rtt_s``.  The
-        coarser the tick, the cheaper and the blurrier the mode; exact
-        mode ignores it.
     """
 
     name: str = "ideal"
@@ -225,7 +221,6 @@ class FabricParams:
     seed: int = 42                       # drop sampling + RTO jitter
     leafspine: Optional[LeafSpineParams] = None
     mode: str = "exact"                  # "exact" | "fluid"
-    fluid_tick_s: Optional[float] = None  # fluid recompute tick; None = rtt_s
 
     def __post_init__(self) -> None:
         if self.buffer_pkts is not None and self.buffer_pkts < 1:
@@ -236,8 +231,6 @@ class FabricParams:
             raise ValueError("need 1 <= init_cwnd <= max_cwnd")
         if self.mode not in ("exact", "fluid"):
             raise ValueError(f'mode must be "exact" or "fluid", got {self.mode!r}')
-        if self.fluid_tick_s is not None and self.fluid_tick_s <= 0:
-            raise ValueError(f"fluid_tick_s must be > 0 (or None), got {self.fluid_tick_s}")
 
     @property
     def ideal(self) -> bool:

@@ -397,10 +397,10 @@ class FluidEngine:
     def __init__(self, sim, fabric) -> None:
         self.sim = sim
         self.fab = fabric
-        #: Rate-recompute / completion-batch interval, seconds.  Defaults
-        #: to the fabric RTT — the same granularity the exact engine
-        #: resolves (one window round per RTT).
-        self.tick_s = fabric.fluid_tick_s if fabric.fluid_tick_s is not None else fabric.rtt_s
+        #: Rate-recompute / completion-batch interval, seconds: the fabric
+        #: RTT — the same granularity the exact engine resolves (one
+        #: window round per RTT).
+        self.tick_s = fabric.rtt_s
         self._ports: list = []                    # SwitchPort registry
         self._port_ids: dict[int, int] = {}       # id(port) -> index
         self._caps_list: list[float] = []         # per-port capacity, B/s
@@ -497,6 +497,12 @@ class FluidEngine:
     #: (dicts and floats); above it, vectorized numpy.  The steady state
     #: of an RPC-heavy workload is one or two live flows per epoch, and
     #: numpy's fixed per-call overhead would dominate there.
+    #: Measured for ISSUE 12, so nobody deletes the scalar path blind: the
+    #: perf `storm_fluid` workload cannot decide (0 of its 1,804 epochs
+    #: are this small; ops_per_s 22,142 vs 21,607 with SMALL = 0, inside
+    #: noise), but a fluid-mode `run_storm(8, 64, 100)` has 61,200 of
+    #: 61,215 epochs at <= 8 live flows and goes 0.84 s -> 2.0-2.2 s
+    #: without it.  Selected by an observed input size, 2.4x on its side.
     SMALL = 8
 
     def _advance(self, now: float) -> None:

@@ -24,7 +24,7 @@ is integer bumps on its damage counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.obs.spans import Span, Tracer, spans_to_tracelog

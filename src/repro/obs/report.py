@@ -13,7 +13,7 @@ CLI::
     python -m repro.obs.report --selftest          # determinism smoke test
     python -m repro.obs.report --json ...          # machine-readable output
 
-Exit codes (stable; CI and ``tools/benchdiff.py`` rely on them):
+Exit codes (stable; CI relies on them):
 
 ====  ===============================================================
 0     report printed, diffed reports identical, or selftest passed

@@ -17,6 +17,7 @@ from repro.devices.disk import Disk
 from repro.erasure.reedsolomon import ReedSolomon
 from repro.faults.errors import FaultError, OpTimeout, RetriesExhausted, ServerDown
 from repro.faults.resilience import RedundancySpec, ResilienceParams
+from repro.faults.server import FaultableServer
 from repro.net.fabric import Link, Topology
 from repro.pfs.layout import Extent, PlacedLayout, StripeLayout
 from repro.placement.congestion import build_placement
@@ -65,28 +66,31 @@ class _ServerRequest:
     local: bool = False         # write whose payload is already resident here
 
 
-class _StorageServer:
+class _StorageServer(FaultableServer):
     """One storage server: FIFO request queue, a fabric port, and a disk.
 
-    Fault state (all opt-in; a server that is never crashed behaves — bit
-    for bit — like the historical always-up server):
-
-    * ``up`` — crash/recover toggle driven by :class:`repro.faults.
-      FaultSchedule` (or tests).  While down, dequeued requests are either
-      *rejected* (``done`` fails with :class:`~repro.faults.errors.
-      ServerDown`, the connection-refused flavor) or *parked* until
-      recovery (the silent-hang flavor: clients only notice via their own
-      op timeouts).  A request already in service when the crash lands
-      runs to completion — the model's simplification of in-flight I/O.
-    * ``slowdown`` — multiplier on disk service time (fault kind
-      ``disk_slowdown``); 1.0 is the exact no-op.
+    Availability and slowdown state is the shared
+    :class:`~repro.faults.server.FaultableServer` contract (all opt-in; a
+    server that is never crashed behaves — bit for bit — like the
+    historical always-up server).  A rejected request's ``done`` fails
+    with :class:`~repro.faults.errors.ServerDown`; ``slowdown`` multiplies
+    disk service time.
     """
 
     def __init__(
         self, sim: Simulator, index: int, params: PFSParams, topology: Topology
     ) -> None:
-        self.sim = sim
-        self.index = index
+        obs = sim.obs
+        # one source of truth for per-server accounting: the component
+        # counters mirror straight into the obs registry (labelled by server)
+        super().__init__(
+            sim, index, f"osd{index}",
+            Counter(
+                registry=obs.metrics if obs is not None else None,
+                prefix="pfs.server.",
+                labels={"server": index},
+            ),
+        )
         self.params = params
         self.topology = topology
         self.disk = Disk(params.disk, sim=None, name=f"osd{index}.disk")
@@ -94,22 +98,6 @@ class _StorageServer:
         # server-local space allocation: (file_id, chunk) -> disk offset
         self._alloc: dict[tuple[int, int], int] = {}
         self._alloc_next = 0
-        # availability / degradation state
-        self.up = True
-        self.park = False
-        self.slowdown = 1.0
-        self._down_since = 0.0
-        self._downtime = 0.0
-        self._up_event: Optional[Event] = None
-        self._down_span = None
-        obs = sim.obs
-        # one source of truth for per-server accounting: the component
-        # counters mirror straight into the obs registry (labelled by server)
-        self.counters = Counter(
-            registry=obs.metrics if obs is not None else None,
-            prefix="pfs.server.",
-            labels={"server": index},
-        )
         if obs is not None:
             self._h_service = obs.metrics.histogram("pfs.server.service_s", server=index)
             self._tracer = obs.tracer
@@ -130,71 +118,15 @@ class _StorageServer:
             self._alloc_next += unit
         return base + within
 
-    # -- fault injection hooks (repro.faults.FaultSchedule drives these) ---
-    def crash(self, park: bool = False) -> None:
-        """Take the server down.  Idempotent; ``park`` picks the flavor."""
-        if not self.up:
-            self.park = park
-            return
-        self.up = False
-        self.park = park
-        self._down_since = self.sim.now
-        self._up_event = self.sim.event(f"osd{self.index}.up")
-        self.counters.add("crashes")
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.gauge("faults.servers_down").inc()
-            self._down_span = obs.tracer.start(
-                "faults.server_down", at=self.sim.now, server=self.index, park=park
-            )
-
-    def recover(self) -> None:
-        """Bring the server back; parked requests drain FIFO."""
-        if self.up:
-            return
-        self.up = True
-        self._downtime += self.sim.now - self._down_since
-        self.counters.add("recoveries")
-        ev, self._up_event = self._up_event, None
-        if ev is not None:
-            ev.succeed(self.sim.now)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.gauge("faults.servers_down").dec()
-        if self._down_span is not None:
-            self._down_span.finish(at=self.sim.now)
-            self._down_span = None
-
-    def set_disk_slowdown(self, multiplier: float) -> None:
-        if multiplier <= 0:
-            raise ValueError("disk slowdown multiplier must be positive")
-        self.slowdown = multiplier
-        self.counters.add("slowdowns")
-
-    def downtime_s(self) -> float:
-        """Cumulative seconds spent down (including a still-open outage)."""
-        total = self._downtime
-        if not self.up:
-            total += self.sim.now - self._down_since
-        return total
-
     def _serve(self):
         p = self.params
         fab = self.topology
         ideal = fab.fabric.ideal
         while True:
             req: _ServerRequest = yield self.queue.get()
-            if not self.up:
-                if self.park:
-                    # silent-hang flavor: hold the request until recovery,
-                    # then serve it (and the rest of the queue) FIFO
-                    while not self.up:
-                        yield Wait(self._up_event)
-                else:
-                    # connection-refused flavor: fail fast, zero sim time
-                    self.counters.add("requests_rejected")
-                    req.done.fail(ServerDown(self.index, self.sim.now))
-                    continue
+            if not self.up and not (yield from self._parked_until_up()):
+                req.done.fail(ServerDown(self.index, self.sim.now))
+                continue
             t0 = self.sim.now
             span = None
             if self._tracer is not None:
@@ -317,40 +249,37 @@ class SimPFS:
         # degraded-mode machinery (all opt-in; None/None keeps the historical
         # assume-success data path bit-identical — pinned by the golden
         # makespans in tests/test_fabric_equivalence.py)
-        self.redundancy: Optional[RedundancySpec] = RedundancySpec.parse(params.redundancy)
+        red = self.redundancy = RedundancySpec.parse(params.redundancy)
         self.resilience: Optional[ResilienceParams] = params.resilience
-        if self.resilience is None and self.redundancy is not None:
-            self.resilience = ResilienceParams()
-        if self.redundancy is not None and params.n_servers < self.redundancy.min_servers:
-            raise ValueError(
-                f"redundancy {self.redundancy} needs >= {self.redundancy.min_servers} "
-                f"servers, have {params.n_servers}"
-            )
+        self._rs_codec: Optional[ReedSolomon] = None
+        # stripe-health ledger: which share lives where, what is lost.
+        # Pure bookkeeping (no sim time), recorded by the resilient write
+        # path, consumed by repro.scrub; absent without redundancy, so the
+        # historical paths carry no ledger branches at all
+        self.ledger: Optional[StripeLedger] = None
+        if red is not None:
+            if params.n_servers < red.min_servers:
+                raise ValueError(
+                    f"redundancy {red} needs >= {red.min_servers} "
+                    f"servers, have {params.n_servers}"
+                )
+            if self.resilience is None:
+                self.resilience = ResilienceParams()
+            self.ledger = StripeLedger(red)
+            if red.kind == "rs":
+                self._rs_codec = ReedSolomon(red.k, red.m)
         self._ft_rng = (
             np.random.default_rng(self.resilience.seed)
             if self.resilience is not None
             else None
         )
-        self._rs_codec: Optional[ReedSolomon] = (
-            ReedSolomon(self.redundancy.k, self.redundancy.m)
-            if self.redundancy is not None and self.redundancy.kind == "rs"
-            else None
-        )
         # parity-share space allocation per (file_id, server)
         self._parity_off: dict[tuple[int, int], int] = {}
-        # stripe-health ledger: which share lives where, what is lost.
-        # Pure bookkeeping (no sim time), recorded by the resilient write
-        # path, consumed by repro.scrub; absent without redundancy, so the
-        # historical paths carry no ledger branches at all
-        self.ledger: Optional[StripeLedger] = (
-            StripeLedger(self.redundancy) if self.redundancy is not None else None
-        )
         self.obs = sim.obs
         self.counters = Counter(
             registry=self.obs.metrics if self.obs else None, prefix="pfs."
         )
-        self._c_client_w: dict[int, object] = {}
-        self._c_client_r: dict[int, object] = {}
+        self._c_client: dict[tuple[str, int], object] = {}
         # cost of a read-modify-write merge of one lock block (served remotely)
         p = params
         self._rmw_read_s = (
@@ -360,14 +289,40 @@ class SimPFS:
         )
 
     # -- helpers --------------------------------------------------------
-    def _nic(self, client: int) -> Resource:
-        return self.topology.client_nic(client)
+    def _issue(self, name: str, server: int, file_id: int, client: int,
+               extents: list[Extent], nbytes: int, write: bool,
+               parent_span=None, ctx=None, parity: bool = False,
+               dest_server: Optional[int] = None, local: bool = False) -> Event:
+        """Queue one request on ``server``; returns its completion event.
 
-    def _extents_for(self, fh: FileHandle, offset: int, nbytes: int) -> list[Extent]:
-        """The request's per-server extents under the active layout policy."""
+        Every server request of every path (legacy, resilient, scrub) is
+        built here.  ``parity`` files the extents under the file's shadow
+        id, so redundancy and rebuilt shares never alias data chunks in
+        the server's allocation map.
+        """
+        done = self.sim.event(name)
+        self.servers[server].queue.put(
+            _ServerRequest(
+                -(file_id + 1) if parity else file_id, client, extents, nbytes, write,
+                done, parent_span=parent_span, ctx=ctx, dest_server=dest_server, local=local,
+            )
+        )
+        return done
+
+    def _by_server(self, fh: FileHandle, offset: int, nbytes: int):
+        """Group a request's extents (under the active layout policy) by
+        server, paying the security attach cost per server request."""
         if self.placement is not None:
-            return self.placement.merged_extents(fh.file_id, offset, nbytes)
-        return self.layout.merged_extents(offset, nbytes, shift=fh.shift)
+            exts = self.placement.merged_extents(fh.file_id, offset, nbytes)
+        else:
+            exts = self.layout.merged_extents(offset, nbytes, shift=fh.shift)
+        by_server: dict[int, list[Extent]] = {}
+        for ext in exts:
+            by_server.setdefault(ext.server, []).append(ext)
+        sec = self.security.per_io_s * len(by_server)
+        if sec:
+            yield Timeout(sec)
+        return by_server
 
     def lookup(self, path: str) -> FileHandle:
         try:
@@ -447,12 +402,43 @@ class SimPFS:
             "lock_granularity": self.params.lock_granularity,
         }
 
-    def _client_counter(self, cache: dict, client: int, name: str):
-        c = cache.get(client)
-        if c is None:
-            c = self.obs.metrics.counter(name, client=client)
-            cache[client] = c
-        return c
+    # -- client-op bookkeeping shared by op_write / op_read -----------------
+    def _begin_op(self, op: str, client: int, nbytes: int, parent_span, ctx):
+        """Open the op's ``pfs.<op>`` span; returns ``(span, ctx)``.
+
+        With a bundle active and no context supplied, this client edge
+        mints one (so every op is request-addressable in the trace).
+        """
+        obs = self.obs
+        if obs is None:
+            return None, ctx
+        if ctx is None:
+            ctx = obs.request_context(op=op, origin="pfs")
+        sp = obs.tracer.start(
+            f"pfs.{op}", parent=parent_span, at=self.sim.now, client=client,
+            nbytes=nbytes, **ctx.span_attrs(),
+        )
+        return sp, ctx
+
+    def _client_xfer(self, client: int, nbytes: int, sp):
+        """The op's payload crosses the client's host link (``pfs.xfer``)."""
+        xsp = None
+        if sp is not None:
+            xsp = self.obs.tracer.start("pfs.xfer", parent=sp, at=self.sim.now, client=client)
+        yield from self.topology.client_xfer(client, nbytes)
+        if xsp is not None:
+            xsp.finish(at=self.sim.now)
+
+    def _end_op(self, what: str, client: int, nbytes: int, sp) -> None:
+        """Count the finished op's bytes (globally and per client), close ``sp``."""
+        self.counters.add(what, nbytes)
+        if sp is not None:
+            c = self._c_client.get((what, client))
+            if c is None:
+                c = self.obs.metrics.counter(f"pfs.client.{what}", client=client)
+                self._c_client[(what, client)] = c
+            c.inc(nbytes)
+            sp.finish(at=self.sim.now)
 
     # -- degraded-mode data path --------------------------------------------
     # Active only when params.resilience / params.redundancy are set; the
@@ -472,14 +458,11 @@ class SimPFS:
     def _down_servers(self) -> int:
         return sum(1 for s in self.servers if not s.up)
 
-    def _next_up_server(self, server: int) -> Optional[int]:
-        """First up server after ``server`` in ring order, or None."""
+    def _up_ring(self, server: int) -> list[int]:
+        """The up servers after ``server``, in ring order."""
         n = self.params.n_servers
-        for j in range(1, n):
-            cand = (server + j) % n
-            if self.servers[cand].up:
-                return cand
-        return None
+        ring = ((server + j) % n for j in range(1, n))
+        return [cand for cand in ring if self.servers[cand].up]
 
     def _redirect_target(self, server: int, group) -> Optional[int]:
         """Where a degraded write redirects a share bound for ``server``.
@@ -491,14 +474,11 @@ class SimPFS:
         When every up server is taken (stripe as wide as the cluster),
         fall back to the plain group-blind ring successor.
         """
+        ring = self._up_ring(server)
         if group is not None:
-            n = self.params.n_servers
             avoid = {sh.server for sh in group.shares if not sh.lost} | group.claims
-            for j in range(1, n):
-                cand = (server + j) % n
-                if self.servers[cand].up and cand not in avoid:
-                    return cand
-        return self._next_up_server(server)
+            ring = [cand for cand in ring if cand not in avoid] or ring
+        return ring[0] if ring else None
 
     def _parity_extents(self, file_id: int, server: int, nbytes: int) -> list[Extent]:
         """Allocate parity-share space on ``server`` (own append-only region)."""
@@ -547,22 +527,11 @@ class SimPFS:
         server (the spine, when racks differ).  Returns the completion
         event; callers race it against their op timeout.
         """
-        done = self.sim.event(f"scrub:r:{file_id}@{src}")
-        self.servers[src].queue.put(
-            _ServerRequest(
-                file_id=-(file_id + 1),
-                client=0,
-                extents=[Extent(server=src, server_offset=0, logical_offset=0,
-                                length=nbytes)],
-                nbytes=nbytes,
-                write=False,
-                done=done,
-                parent_span=parent_span,
-                ctx=ctx,
-                dest_server=dst,
-            )
+        return self._issue(
+            f"scrub:r:{file_id}@{src}", src, file_id, 0,
+            [Extent(server=src, server_offset=0, logical_offset=0, length=nbytes)],
+            nbytes, False, parent_span, ctx, parity=True, dest_server=dst,
         )
-        return done
 
     def scrub_store_share(self, file_id: int, dst: int, nbytes: int,
                           parent_span=None, ctx=None) -> Event:
@@ -571,21 +540,11 @@ class SimPFS:
         The share was decoded on ``dst`` (the puller), so the write is
         local: FIFO queueing plus disk time, no fabric transfer.
         """
-        done = self.sim.event(f"scrub:w:{file_id}@{dst}")
-        self.servers[dst].queue.put(
-            _ServerRequest(
-                file_id=-(file_id + 1),
-                client=0,
-                extents=self._parity_extents(file_id, dst, nbytes),
-                nbytes=nbytes,
-                write=True,
-                done=done,
-                parent_span=parent_span,
-                ctx=ctx,
-                local=True,
-            )
+        return self._issue(
+            f"scrub:w:{file_id}@{dst}", dst, file_id, 0,
+            self._parity_extents(file_id, dst, nbytes),
+            nbytes, True, parent_span, ctx, parity=True, local=True,
         )
-        return done
 
     def _parity_targets(self, by_server: dict, nbytes: int) -> list[tuple[int, int]]:
         """(server, nbytes) redundancy writes for one striped request.
@@ -609,26 +568,8 @@ class SimPFS:
         order = [s for s in ring if s not in by_server] + [s for s in ring if s in by_server]
         return [(order[j % len(order)], share) for j in range(red.m)]
 
-    def _ft_issue(self, fh, client, server, sexts, sbytes, write, parent_span,
-                  parity=False, ctx=None):
-        """Queue one server request, return its completion event."""
-        done = self.sim.event(f"ft:{'w' if write else 'r'}:{fh.file_id}@{server}")
-        self.servers[server].queue.put(
-            _ServerRequest(
-                file_id=-(fh.file_id + 1) if parity else fh.file_id,
-                client=client,
-                extents=sexts,
-                nbytes=sbytes,
-                write=write,
-                done=done,
-                parent_span=parent_span,
-                ctx=ctx,
-            )
-        )
-        return done
-
-    def _ft_race(self, ev: Event, server: int, timeout_s: float) -> Event:
-        """Race ``ev`` against a per-op timeout.
+    def _ft_race(self, ev: Event, server: int) -> Event:
+        """Race ``ev`` against the per-op timeout (``resilience.op_timeout_s``).
 
         Returns an event that succeeds/fails with ``ev``'s outcome, or fails
         with :class:`OpTimeout` if the deadline fires first.  Simulator timers
@@ -637,6 +578,7 @@ class SimPFS:
         not the final ``sim.now``.
         """
         sim = self.sim
+        timeout_s = self.resilience.op_timeout_s
         race = sim.event(f"ft.race@{server}")
 
         def waiter():
@@ -658,11 +600,26 @@ class SimPFS:
         sim.call_after(timeout_s, expire)
         return race
 
-    def _ctx_retry(self, ctx) -> None:
-        """Attribute one retry to its request/tenant (zero sim-time cost)."""
+    def _ft_backoff(self, exc: FaultError, server: int, attempts: int, ctx):
+        """Account one failed attempt on ``server``, then back off.
+
+        Returns :class:`RetriesExhausted` at once when the retry budget is
+        spent; otherwise charges the retry to its request/tenant, sleeps
+        the jittered backoff delay and returns None.
+        """
+        ft = self.resilience
+        self._note_fault(exc)
+        if attempts >= ft.max_retries:
+            self._fcount("retries_exhausted")
+            return RetriesExhausted(server, self.sim.now, attempts + 1, exc)
+        delay = ft.backoff_s(attempts, self._ft_rng)
+        self._fcount("retries")
         if ctx is not None:
             ctx.retries += 1
             self._fcount("tenant.retries", tenant=ctx.tenant)
+        if self.obs is not None:
+            self.obs.metrics.histogram("faults.backoff_s").observe(delay)
+        yield Timeout(delay)
 
     def _ft_write_child(self, fh, client, server, sexts, sbytes, parent_span,
                         parity=False, ctx=None, group=None):
@@ -674,7 +631,6 @@ class SimPFS:
         a successful child records its share at the *actual* target, so
         the ledger sees redirected placements, not intended ones.
         """
-        ft = self.resilience
         red = self.redundancy
         attempts = 0
         target = server
@@ -696,30 +652,23 @@ class SimPFS:
                     if group is not None:
                         group.claims.add(alt)
                     continue
-            exts = self._parity_extents(fh.file_id, target, sbytes) if parity or target != server else sexts
-            ev = self._ft_issue(fh, client, target, exts, sbytes, True, parent_span,
-                                parity=parity or target != server, ctx=ctx)
+            shadow = parity or target != server
+            exts = self._parity_extents(fh.file_id, target, sbytes) if shadow else sexts
+            ev = self._issue(f"ft:w:{fh.file_id}@{target}", target, fh.file_id, client,
+                             exts, sbytes, True, parent_span, ctx, parity=shadow)
             try:
-                yield Wait(self._ft_race(ev, target, ft.op_timeout_s))
+                yield Wait(self._ft_race(ev, target))
                 if group is not None:
                     self.ledger.record_share(group, target, sbytes, parity=parity)
                 return ("ok", sbytes)
             except FaultError as exc:
-                self._note_fault(exc)
-                if attempts >= ft.max_retries:
-                    self._fcount("retries_exhausted")
-                    return ("err", RetriesExhausted(target, self.sim.now, attempts + 1, exc))
-                delay = ft.backoff_s(attempts, self._ft_rng)
-                self._fcount("retries")
-                self._ctx_retry(ctx)
-                if self.obs is not None:
-                    self.obs.metrics.histogram("faults.backoff_s").observe(delay)
+                err = yield from self._ft_backoff(exc, target, attempts, ctx)
+                if err is not None:
+                    return ("err", err)
                 attempts += 1
-                yield Timeout(delay)
 
     def _ft_read_child(self, fh, client, server, sexts, sbytes, parent_span, ctx=None):
         """Resilient single-server read; fails over to reconstruction."""
-        ft = self.resilience
         red = self.redundancy
         attempts = 0
         while True:
@@ -737,22 +686,15 @@ class SimPFS:
                         return ("ok", sbytes)
                     # not enough surviving sources right now — retry later
                     raise ServerDown(server, self.sim.now)
-                ev = self._ft_issue(fh, client, server, sexts, sbytes, False, parent_span,
-                                    ctx=ctx)
-                yield Wait(self._ft_race(ev, server, ft.op_timeout_s))
+                ev = self._issue(f"ft:r:{fh.file_id}@{server}", server, fh.file_id, client,
+                                 sexts, sbytes, False, parent_span, ctx)
+                yield Wait(self._ft_race(ev, server))
                 return ("ok", sbytes)
             except FaultError as exc:
-                self._note_fault(exc)
-                if attempts >= ft.max_retries:
-                    self._fcount("retries_exhausted")
-                    return ("err", RetriesExhausted(server, self.sim.now, attempts + 1, exc))
-                delay = ft.backoff_s(attempts, self._ft_rng)
-                self._fcount("retries")
-                self._ctx_retry(ctx)
-                if self.obs is not None:
-                    self.obs.metrics.histogram("faults.backoff_s").observe(delay)
+                err = yield from self._ft_backoff(exc, server, attempts, ctx)
+                if err is not None:
+                    return ("err", err)
                 attempts += 1
-                yield Timeout(delay)
 
     def _ft_reconstruct(self, fh, client, server, sbytes, parent_span, ctx=None):
         """Rebuild ``sbytes`` lost on a dead server from surviving shares.
@@ -764,15 +706,8 @@ class SimPFS:
         """
         red = self.redundancy
         ft = self.resilience
-        n = self.params.n_servers
         need = red.reconstruct_read_shares
-        sources = []
-        for j in range(1, n):
-            cand = (server + j) % n
-            if self.servers[cand].up and not self._server_wiped(cand):
-                sources.append(cand)
-            if len(sources) == need:
-                break
+        sources = [s for s in self._up_ring(server) if not self._server_wiped(s)][:need]
         if len(sources) < need:
             return False
         span = None
@@ -791,17 +726,17 @@ class SimPFS:
             ctx.reconstructions += 1
             self._fcount("tenant.reconstructions", tenant=ctx.tenant)
         events = [
-            self._ft_issue(
-                fh, client, src,
+            self._issue(
+                f"ft:r:{fh.file_id}@{src}", src, fh.file_id, client,
                 [Extent(server=src, server_offset=0, logical_offset=0, length=sbytes)],
-                sbytes, False, span if span is not None else parent_span, parity=True,
-                ctx=ctx,
+                sbytes, False, span if span is not None else parent_span, ctx,
+                parity=True,
             )
             for src in sources
         ]
         try:
             for src, ev in zip(sources, events):
-                yield Wait(self._ft_race(ev, src, ft.op_timeout_s))
+                yield Wait(self._ft_race(ev, src))
         except FaultError:
             if span is not None:
                 span.finish(at=self.sim.now)
@@ -823,7 +758,10 @@ class SimPFS:
         rs = self._rs_codec
         payload = bytes((7 * i + 13) & 0xFF for i in range(min(max(sbytes, 1), 1024)))
         shares = rs.encode(payload)
-        n_lost = min(self._down_servers(), rs.m)
+        # always drop at least one *data* share: reconstruction is also
+        # triggered by disk_loss on a server that is still up, and shares
+        # 0..k-1 of a systematic code decode through the identity
+        n_lost = max(1, min(self._down_servers(), rs.m))
         available = {i: shares[i] for i in range(rs.n) if i >= n_lost}
         decoded = rs.decode(available, len(payload))
         if decoded != payload:
@@ -857,14 +795,7 @@ class SimPFS:
             return 0.0
         start = self.sim.now
         obs = self.obs
-        sp = None
-        if obs is not None:
-            if ctx is None:
-                ctx = obs.request_context(op="write", origin="pfs")
-            sp = obs.tracer.start(
-                "pfs.write", parent=parent_span, at=start, client=client,
-                nbytes=nbytes, **ctx.span_attrs(),
-            )
+        sp, ctx = self._begin_op("write", client, nbytes, parent_span, ctx)
         # 1. coherence charges — lock migrations serialize through the
         #    file's lock service (DLM conversations are not parallel)
         charge = fh.locks.charge_write(client, offset, nbytes)
@@ -879,38 +810,28 @@ class SimPFS:
             if lsp is not None:
                 lsp.finish(at=self.sim.now)
         # 2. security attach cost per server request
-        exts = self._extents_for(fh, offset, nbytes)
-        by_server: dict[int, list[Extent]] = {}
-        for ext in exts:
-            by_server.setdefault(ext.server, []).append(ext)
-        sec = self.security.per_io_s * len(by_server)
-        if sec:
-            yield Timeout(sec)
+        by_server = yield from self._by_server(fh, offset, nbytes)
         # 3. client NIC serialization (through the fabric's host link)
-        xsp = None
-        if sp is not None:
-            xsp = obs.tracer.start("pfs.xfer", parent=sp, at=self.sim.now, client=client)
-        yield from self.topology.client_xfer(client, nbytes)
-        if xsp is not None:
-            xsp.finish(at=self.sim.now)
-        # 4. issue to servers and wait for all
+        yield from self._client_xfer(client, nbytes, sp)
+        # 4. issue to servers and wait for all.
+        # Why the legacy fan-out is still here beside the resilient one
+        # (same fork in op_read): running it as the resilient path under a
+        # null ResilienceParams was prototyped for ISSUE 12 — 811/812 tier-1
+        # tests and every golden held, but 32 clients x 32 x 1 MiB write +
+        # read-back on 16 servers went 102,512 -> 168,048 events (+64 %)
+        # and 0.47 -> 0.63 s median wall (+33 %) on the ideal fabric every
+        # paper figure uses (+7 % events, +6-10 % wall on a 64-pkt fabric):
+        # a child process + race per server request is not free.  Issuing
+        # first attempts inline and spawning a retry child only after a
+        # failure would beat both, but moves events_dispatched on
+        # ckpt_exact/meta_scrub (pinned in perf/expected.json) — that needs
+        # a benchmark PR first.
         if self.resilience is None:
-            events = []
-            for server, sexts in by_server.items():
-                done = self.sim.event(f"w:{path}@{server}")
-                self.servers[server].queue.put(
-                    _ServerRequest(
-                        file_id=fh.file_id,
-                        client=client,
-                        extents=sexts,
-                        nbytes=sum(e.length for e in sexts),
-                        write=True,
-                        done=done,
-                        parent_span=sp,
-                        ctx=ctx,
-                    )
-                )
-                events.append(done)
+            events = [
+                self._issue(f"w:{path}@{server}", server, fh.file_id, client, sexts,
+                            sum(e.length for e in sexts), True, sp, ctx)
+                for server, sexts in by_server.items()
+            ]
             for ev in events:
                 yield Wait(ev)
         else:
@@ -919,17 +840,10 @@ class SimPFS:
             # With redundancy active the write (re-)places one stripe
             # group in the health ledger; children record their shares at
             # the actual landing server as they complete.
-            group = (
-                self.ledger.begin_group(fh.file_id, offset)
-                if self.ledger is not None
-                else None
-            )
-            ptargets = (
-                self._parity_targets(by_server, nbytes)
-                if self.redundancy is not None
-                else []
-            )
-            if group is not None:
+            group, ptargets = None, []
+            if self.redundancy is not None:
+                group = self.ledger.begin_group(fh.file_id, offset)
+                ptargets = self._parity_targets(by_server, nbytes)
                 # claim every intended landing up front: a child that
                 # redirects must not collide with a sibling that has not
                 # started yet
@@ -945,25 +859,21 @@ class SimPFS:
                         name=f"ftw:{fh.file_id}@{server}",
                     )
                 )
-            if self.redundancy is not None:
-                pbytes = sum(b for _, b in ptargets)
-                if pbytes:
-                    # redundant bytes also cross the client's host link
-                    yield from self.topology.client_xfer(client, pbytes)
-                for pserver, pb in ptargets:
-                    procs.append(
-                        self.sim.spawn(
-                            self._ft_write_child(fh, client, pserver, None, pb, sp,
-                                                 parity=True, ctx=ctx, group=group),
-                            name=f"ftp:{fh.file_id}@{pserver}",
-                        )
+            pbytes = sum(b for _, b in ptargets)
+            if pbytes:
+                # redundant bytes also cross the client's host link
+                yield from self.topology.client_xfer(client, pbytes)
+            for pserver, pb in ptargets:
+                procs.append(
+                    self.sim.spawn(
+                        self._ft_write_child(fh, client, pserver, None, pb, sp,
+                                             parity=True, ctx=ctx, group=group),
+                        name=f"ftp:{fh.file_id}@{pserver}",
                     )
+                )
             yield from self._ft_gather(procs)
         fh.size = max(fh.size, offset + nbytes)
-        self.counters.add("bytes_written", nbytes)
-        if obs is not None:
-            self._client_counter(self._c_client_w, client, "pfs.client.bytes_written").inc(nbytes)
-            sp.finish(at=self.sim.now)
+        self._end_op("bytes_written", client, nbytes, sp)
         return self.sim.now - start
 
     def op_read(self, client: int, path: str, offset: int, nbytes: int,
@@ -978,39 +888,14 @@ class SimPFS:
         if nbytes <= 0:
             return 0.0
         start = self.sim.now
-        obs = self.obs
-        sp = None
-        if obs is not None:
-            if ctx is None:
-                ctx = obs.request_context(op="read", origin="pfs")
-            sp = obs.tracer.start(
-                "pfs.read", parent=parent_span, at=start, client=client,
-                nbytes=nbytes, **ctx.span_attrs(),
-            )
-        exts = self._extents_for(fh, offset, nbytes)
-        by_server: dict[int, list[Extent]] = {}
-        for ext in exts:
-            by_server.setdefault(ext.server, []).append(ext)
-        sec = self.security.per_io_s * len(by_server)
-        if sec:
-            yield Timeout(sec)
+        sp, ctx = self._begin_op("read", client, nbytes, parent_span, ctx)
+        by_server = yield from self._by_server(fh, offset, nbytes)
         if self.resilience is None:
-            events = []
-            for server, sexts in by_server.items():
-                done = self.sim.event(f"r:{path}@{server}")
-                self.servers[server].queue.put(
-                    _ServerRequest(
-                        file_id=fh.file_id,
-                        client=client,
-                        extents=sexts,
-                        nbytes=sum(e.length for e in sexts),
-                        write=False,
-                        done=done,
-                        parent_span=sp,
-                        ctx=ctx,
-                    )
-                )
-                events.append(done)
+            events = [
+                self._issue(f"r:{path}@{server}", server, fh.file_id, client, sexts,
+                            sum(e.length for e in sexts), False, sp, ctx)
+                for server, sexts in by_server.items()
+            ]
             for ev in events:
                 yield Wait(ev)
         else:
@@ -1027,16 +912,8 @@ class SimPFS:
                 for server, sexts in by_server.items()
             ]
             yield from self._ft_gather(procs)
-        xsp = None
-        if sp is not None:
-            xsp = obs.tracer.start("pfs.xfer", parent=sp, at=self.sim.now, client=client)
-        yield from self.topology.client_xfer(client, nbytes)
-        if xsp is not None:
-            xsp.finish(at=self.sim.now)
-        self.counters.add("bytes_read", nbytes)
-        if obs is not None:
-            self._client_counter(self._c_client_r, client, "pfs.client.bytes_read").inc(nbytes)
-            sp.finish(at=self.sim.now)
+        yield from self._client_xfer(client, nbytes, sp)
+        self._end_op("bytes_read", client, nbytes, sp)
         return self.sim.now - start
 
     # -- reporting ------------------------------------------------------------

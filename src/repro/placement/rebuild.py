@@ -11,7 +11,7 @@ Same two invariants, transplanted:
 * **degrade-to-base** — with no crash history (all flap scores zero) the
   choice is exactly the ring successor of the lost share's old server,
   the same structure the degraded-write redirect
-  (``SimPFS._next_up_server``) uses;
+  (``SimPFS._redirect_target``) uses;
 * **hysteresis** — a diversion must beat the base choice's flap score by
   at least ``hysteresis``, so near-equal candidates do not make the
   replacer itself flap.

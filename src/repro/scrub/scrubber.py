@@ -32,7 +32,6 @@ sequences and identical ``scrub.*`` metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.faults.errors import FaultError
 from repro.placement.rebuild import FlapStats, RebuildPlacement
@@ -268,12 +267,12 @@ class Scrubber:
                     for src in sources
                 ]
                 for src, ev in fetches:
-                    yield Wait(pfs._ft_race(ev, src, ft.op_timeout_s))
+                    yield Wait(pfs._ft_race(ev, src))
                 if red.kind == "rs":
                     yield Timeout(nbytes * red.k / ft.decode_Bps)
                 store = pfs.scrub_store_share(group.file_id, dst, nbytes,
                                               parent_span=span, ctx=ctx)
-                yield Wait(pfs._ft_race(store, dst, ft.op_timeout_s))
+                yield Wait(pfs._ft_race(store, dst))
             except FaultError:
                 # a source or the destination died mid-rebuild; hand the
                 # share back to the next scan

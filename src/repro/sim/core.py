@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import re
 import time as _time
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Optional, Union
 
 from repro.obs import current as _current_obs
 
@@ -360,9 +360,6 @@ class Simulator:
         if self._c_spawned is not None:
             self._c_spawned.value += 1.0
         return proc
-
-    def spawn_all(self, gens: Iterable[Generator]) -> list[Process]:
-        return [self.spawn(g) for g in gens]
 
     def _crash(self, exc: BaseException) -> None:
         if self._crashed is None:

@@ -95,10 +95,6 @@ class Resource:
         self._busy_time += self.in_use * (now - self._last_change)
         self._last_change = now
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def utilization(self) -> float:
         """Time-averaged fraction of capacity in use since t=0."""
         self._accumulate()

@@ -149,7 +149,7 @@ def test_select_aggregators_validation():
 def test_ideal_fabric_bit_identical_golden():
     """The rewritten engine reproduces the pre-fabric float sequence."""
     cfg = CollectiveConfig(n_ranks=16, n_aggregators=4)
-    r = run_collective_write(cfg, GPFS_LIKE.with_servers(4), layout_aware=False)
+    r = run_collective_write(cfg, GPFS_LIKE.with_servers(4), scheme="naive-even")
     assert r.makespan_s == 0.08769074548458544  # exact — no tolerance
     assert r.scheme == "naive-even"
     assert r.n_aggregators == 4
@@ -158,10 +158,8 @@ def test_ideal_fabric_bit_identical_golden():
 def test_scheme_argument_and_validation():
     cfg = CollectiveConfig(n_ranks=8, n_aggregators=2)
     params = GPFS_LIKE.with_servers(4)
-    assert (
-        run_collective_write(cfg, params, layout_aware=True).makespan_s
-        == run_collective_write(cfg, params, scheme="layout-aware").makespan_s
-    )
+    assert run_collective_write(cfg, params).scheme == "naive-even"  # the default
+    assert run_collective_write(cfg, params, scheme="layout-aware").scheme == "layout-aware"
     with pytest.raises(ValueError):
         run_collective_write(cfg, params, scheme="psychic")
 

@@ -58,8 +58,8 @@ def test_layout_aware_beats_naive():
     """The report's >= 24% improvement for the tested workloads."""
     cfg = CollectiveConfig(n_ranks=16, n_aggregators=4)
     params = GPFS_LIKE.with_servers(4)
-    naive = run_collective_write(cfg, params, layout_aware=False)
-    aware = run_collective_write(cfg, params, layout_aware=True)
+    naive = run_collective_write(cfg, params, scheme="naive-even")
+    aware = run_collective_write(cfg, params, scheme="layout-aware")
     assert naive.total_bytes == aware.total_bytes
     gain = (naive.makespan_s - aware.makespan_s) / naive.makespan_s
     assert gain >= 0.1
@@ -72,8 +72,8 @@ def test_layout_benefit_grows_with_aggregators():
 
     def gain(n_aggs):
         cfg = CollectiveConfig(n_ranks=4 * n_aggs, n_aggregators=n_aggs)
-        naive = run_collective_write(cfg, params, layout_aware=False)
-        aware = run_collective_write(cfg, params, layout_aware=True)
+        naive = run_collective_write(cfg, params, scheme="naive-even")
+        aware = run_collective_write(cfg, params, scheme="layout-aware")
         return (naive.makespan_s - aware.makespan_s) / naive.makespan_s
 
     assert gain(8) >= gain(2) - 0.05

@@ -16,6 +16,7 @@ import numpy as np
 from repro import obs as obs_mod
 from repro.failure.traces import synth_interrupt_trace
 from repro.faults import (
+    FaultableServer,
     FaultEvent,
     FaultSchedule,
     OpTimeout,
@@ -24,9 +25,12 @@ from repro.faults import (
     RetriesExhausted,
     ServerDown,
 )
+from repro.giga import GigaService, ServiceParams
+from repro.giga.mapping import hash_name
+from repro.pfs.layout import Extent
 from repro.pfs.params import PFSParams
 from repro.pfs.system import SimPFS
-from repro.sim import SimulationError, Simulator, Timeout
+from repro.sim import SimulationError, Simulator, Timeout, Wait
 from repro.workloads.checkpoint import run_faulted_checkpoint
 
 
@@ -205,17 +209,90 @@ def test_disk_slowdown_stretches_service():
     assert makespan(8.0) > makespan(1.0)
 
 
-def test_crash_and_recover_are_idempotent():
-    sim, pfs = _pfs()
-    srv = pfs.servers[0]
-    srv.recover()  # up already: no-op
-    srv.crash()
-    srv.crash(park=True)  # stays down, flavor updated
-    assert not srv.up and srv.park
-    srv.recover()
-    srv.recover()
-    assert srv.up
-    assert pfs.server_stats()[0]["crashes"] == 1
+# -- the one server fault contract (repro.faults.server) -----------------
+# Each bank returns (a FaultableServer, request(tag)): ``request`` is a sim
+# process sending one request to that server, returning "ok" or "down".
+
+
+def _storage_bank(sim):
+    pfs = SimPFS(sim, PFSParams())
+    exts = [Extent(server=0, server_offset=0, logical_offset=0, length=4096)]
+
+    def request(tag):
+        try:
+            yield Wait(pfs._issue(f"contract:{tag}", 0, 0, 0, exts, 4096, False))
+        except ServerDown:
+            return "down"
+        return "ok"
+
+    return pfs.servers[0], request
+
+
+def _metadata_bank(sim):
+    # detection never fires in-window, so the ring (and the owner) holds
+    service = GigaService(sim, ServiceParams(n_servers=2, failover_detect_s=1e3))
+    owner = service.map.owner(0)
+
+    def request(tag):
+        status, _ = yield from service._serve(owner, "lookup", tag, hash_name(tag))
+        return status
+
+    return service.servers[owner], request
+
+
+@pytest.mark.parametrize("bank", [_storage_bank, _metadata_bank], ids=["storage", "metadata"])
+def test_server_fault_contract(bank):
+    with obs_mod.use(obs_mod.Observability(name="contract")) as o:
+        sim = Simulator()
+        srv, request = bank(sim)
+        assert isinstance(srv, FaultableServer)
+        down_gauge = o.metrics.gauge("faults.servers_down")
+        done = []
+
+        def client(tag):
+            status = yield from request(tag)
+            done.append((tag, status, sim.now))
+
+        # crash/recover are idempotent; a second crash only switches flavor
+        srv.recover()  # up already: no-op
+        srv.crash()
+        srv.crash(park=True)
+        assert not srv.up and srv.park
+        assert srv.counters["crashes"] == 1 and down_gauge.value == 1.0
+
+        # park: requests wait out the outage, then drain FIFO
+        for tag in "abc":
+            sim.spawn(client(tag))
+        sim.call_after(1.0, srv.recover)
+        sim.call_after(1.0, srv.recover)
+        sim.run(until=2.0)
+        assert [(tag, status) for tag, status, _ in done] == [
+            ("a", "ok"), ("b", "ok"), ("c", "ok")
+        ]
+        times = [t for _, _, t in done]
+        assert times[0] >= 1.0 and times == sorted(times)
+        assert srv.up and srv.counters["recoveries"] == 1
+        assert srv.counters["requests_rejected"] == 0
+        assert srv.downtime_s() == pytest.approx(1.0)
+        assert down_gauge.value == 0.0
+
+        # reject: a request reaching the down server fails in zero sim time
+        srv.crash()
+        sim.spawn(client("d"))
+        sim.run(until=3.0)
+        assert done[-1] == ("d", "down", 2.0)
+        assert srv.counters["requests_rejected"] == 1
+        assert srv.downtime_s() == pytest.approx(2.0)  # open outage counts
+        srv.recover()
+        assert down_gauge.value == 0.0
+        outages = [sp for sp in o.tracer.spans if sp.name == "faults.server_down"]
+        assert [sp.attrs["park"] for sp in outages] == [False, False]
+        assert all(sp.finished for sp in outages)
+
+        with pytest.raises(ValueError, match="positive"):
+            srv.set_disk_slowdown(0)
+        srv.set_disk_slowdown(2.0)
+        assert srv.slowdown == 2.0 and srv.counters["slowdowns"] == 1
 
 
 def test_redundancy_needs_enough_servers():
@@ -521,6 +598,34 @@ def test_disk_loss_event_wipes_shares():
     assert pfs.servers[1].up  # availability untouched by a durability fault
     assert counters["faults.injected{kind=disk_loss}"] == 1.0
     assert counters["scrub.shares_lost"] >= 1.0
+
+
+def test_reconstruction_selfcheck_decodes_without_a_data_share(monkeypatch):
+    """disk_loss leaves every server up, so "servers down" is 0 — the RS
+    self-check must still withhold a data share, or it decodes through
+    the identity sub-matrix of the systematic code and checks nothing."""
+    sim, pfs = _pfs(PFSParams(redundancy="rs:4+2"))
+    decoded_from = []
+    real_decode = pfs._rs_codec.decode
+
+    def spy(available, length):
+        decoded_from.append(set(available))
+        return real_decode(available, length)
+
+    monkeypatch.setattr(pfs._rs_codec, "decode", spy)
+
+    def app():
+        yield from pfs.op_create(0, "/f")
+        yield from pfs.op_write(0, "/f", 0, 1 << 20)
+        pfs.lose_disk(1)
+        assert all(s.up for s in pfs.servers)
+        yield from pfs.op_read(0, "/f", 0, 1 << 20)
+
+    run_app(sim, app())
+    k = pfs.redundancy.k
+    assert decoded_from  # the degraded read reconstructed
+    for shares in decoded_from:
+        assert len(shares) >= k and not set(range(k)) <= shares
 
 
 # -- determinism pair -----------------------------------------------------

@@ -1,18 +1,16 @@
-"""Flight-recorder tests: request contexts, critical path, profiler, bench.
+"""Flight-recorder tests: request contexts, critical path, profiler.
 
 Covers the three tentpole pillars (docs/observability.md) plus the
 ISSUE-6 satellites: span nesting across fabric sim processes,
 obs-bundle isolation under request-context propagation (same-seed
-determinism pair, byte-identical traces), report ``--json`` exit codes,
-and a bench-harness/benchdiff roundtrip.  The x17-style collective test
-pins the acceptance criterion: ``critical_path`` over a request's span
-tree sums to the measured makespan within 1%.
+determinism pair, byte-identical traces) and report ``--json`` exit
+codes.  The x17-style collective test pins the acceptance criterion:
+``critical_path`` over a request's span tree sums to the measured
+makespan within 1%.
 """
 
 import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +19,6 @@ from repro.obs import (
     Observability,
     PathSegment,
     RequestContext,
-    Span,
     Tracer,
     critical_path,
     critical_path_duration,
@@ -29,9 +26,6 @@ from repro.obs import (
     request_timeline,
 )
 from repro.sim import Simulator, Timeout
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import benchdiff  # noqa: E402  (tools/ is not a package)
 
 
 # -- request contexts ---------------------------------------------------
@@ -344,93 +338,6 @@ def test_profile_off_by_default_and_heap_gauge_with_bundle():
         assert sim._profile_every == 0 and sim.profile_stats() == {}
         g = o.metrics.snapshot()["gauges"]["sim.max_heap_depth"]
         assert g == sim.max_heap_depth >= 5
-
-
-# -- bench harness + benchdiff (pillar 3) -------------------------------
-def _fake_bench(events_a: int, wall_a: float, events_b: int, wall_b: float) -> dict:
-    return {
-        "schema": benchdiff.SCHEMA,
-        "rev": "t",
-        "benchmarks": {
-            "a": {"events_dispatched": events_a, "peak_heap_depth": 4,
-                  "sim_makespan_s": 1.0, "wall_s": wall_a},
-            "b": {"events_dispatched": events_b, "peak_heap_depth": 4,
-                  "sim_makespan_s": 2.0, "wall_s": wall_b},
-        },
-    }
-
-
-def test_bench_harness_deterministic_fields(tmp_path):
-    from repro.obs import bench
-
-    one = bench.run_benchmark("pfs", bench.BENCHMARKS["pfs_checkpoint"])
-    two = bench.run_benchmark("pfs", bench.BENCHMARKS["pfs_checkpoint"])
-    for key in ("events_dispatched", "peak_heap_depth", "spans", "sim_makespan_s"):
-        assert one[key] == two[key], key
-    assert one["events_dispatched"] > 0 and one["peak_heap_depth"] > 0
-    out = tmp_path / "BENCH_x.json"
-    assert bench.main(["-o", str(out), "--rev", "x", "--only", "giga_creates"]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == bench.SCHEMA and "giga_creates" in doc["benchmarks"]
-    assert bench.main(["--list"]) == 0
-
-
-def test_benchdiff_identical_passes_and_regression_fails(capsys):
-    base = _fake_bench(1000, 0.5, 2000, 1.0)
-    assert benchdiff.compare(base, base, 0.25, "relative") == []
-    # deterministic regression: +60% events on one benchmark
-    worse = _fake_bench(1600, 0.5, 2000, 1.0)
-    problems = benchdiff.compare(base, worse, 0.25, "relative")
-    assert any("a.events_dispatched" in p for p in problems)
-    # uniform 2x wall slowdown is normalized away (machine speed)...
-    slower = _fake_bench(1000, 1.0, 2000, 2.0)
-    assert benchdiff.compare(base, slower, 0.25, "relative") == []
-    # ...but a single benchmark slowing down relative to its peers fails
-    skewed = _fake_bench(1000, 2.0, 2000, 1.0)
-    problems = benchdiff.compare(base, skewed, 0.25, "relative")
-    assert any("a.wall_s" in p for p in problems)
-    # a benchmark missing from the current run fails
-    missing = _fake_bench(1000, 0.5, 2000, 1.0)
-    del missing["benchmarks"]["b"]
-    assert any("missing" in p for p in benchdiff.compare(base, missing, 0.25, "off"))
-
-
-def test_benchdiff_wall_floor_ignores_jitter_scale_benchmarks():
-    # a 4ms benchmark doubling its wall is scheduler jitter, not a
-    # regression — below the floor it is excluded from the wall check
-    base = _fake_bench(1000, 0.004, 2000, 1.0)
-    noisy = _fake_bench(1000, 0.009, 2000, 1.0)
-    assert benchdiff.compare(base, noisy, 0.25, "relative") == []
-    # ...but its deterministic metrics are still compared
-    worse = _fake_bench(1600, 0.004, 2000, 1.0)
-    assert any("a.events_dispatched" in p
-               for p in benchdiff.compare(base, worse, 0.25, "relative"))
-    # raising the floor above a benchmark's baseline wall silences it too
-    big = _fake_bench(1000, 0.5, 2000, 2.0)
-    skew = _fake_bench(1000, 2.0, 2000, 2.0)
-    assert any("a.wall_s" in p for p in benchdiff.compare(big, skew, 0.25, "relative"))
-    assert benchdiff.compare(big, skew, 0.25, "relative", wall_floor=1.0) == []
-
-
-def test_benchdiff_cli_roundtrip(tmp_path):
-    base = tmp_path / "base.json"
-    cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(_fake_bench(1000, 0.5, 2000, 1.0)))
-    cur.write_text(json.dumps(_fake_bench(1000, 0.5, 2000, 1.0)))
-    assert benchdiff.main([str(base), str(cur)]) == 0
-    cur.write_text(json.dumps(_fake_bench(9000, 0.5, 2000, 1.0)))
-    assert benchdiff.main([str(base), str(cur), "--no-wall"]) == 1
-
-
-def test_committed_baseline_matches_schema():
-    path = Path(__file__).resolve().parents[1] / "benchmarks/results/BENCH_baseline.json"
-    doc = json.loads(path.read_text())
-    assert doc["schema"] == benchdiff.SCHEMA
-    from repro.obs.bench import BENCHMARKS
-
-    assert set(doc["benchmarks"]) == set(BENCHMARKS)
-    for row in doc["benchmarks"].values():
-        assert row["events_dispatched"] > 0 and row["wall_s"] > 0
 
 
 # -- report --json (satellite) ------------------------------------------

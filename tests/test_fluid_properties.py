@@ -23,8 +23,6 @@ sets rather than the pinned x14/x20 curves:
    makespans and engine counters (no wall-clock, no hidden RNG).
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
