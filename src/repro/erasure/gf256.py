@@ -1,8 +1,11 @@
 """GF(2^8) arithmetic with log/antilog tables (AES polynomial 0x11d).
 
-Multiplication of whole numpy byte arrays is table-driven and
-vectorized — the same structure GPU RAID kernels use, which is why
-Reed-Solomon maps so well onto them (Curry et al., IPDPS'08).
+Elementwise ``mul`` goes through the log/antilog tables.  ``mat_mul``,
+the kernel under Reed-Solomon encode and decode, uses the 256x256 product
+table built from ``mul`` at import: one row of the table per coefficient
+turns "multiply a whole byte row by c" into a single gather — the same
+structure GPU RAID kernels use, which is why Reed-Solomon maps so well
+onto them (Curry et al., IPDPS'08).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ class GF256:
     """The field GF(2^8); all operations accept ints or uint8 arrays."""
 
     EXP, LOG = _build_tables()
+    MUL_TABLE: np.ndarray   # every product of two bytes; built from mul() below
 
     @classmethod
     def add(cls, a, b):
@@ -79,8 +83,16 @@ class GF256:
         if k != k2:
             raise ValueError("shape mismatch")
         out = np.zeros((n, m), dtype=np.uint8)
-        for i in range(k):
-            out ^= cls.mul(A[:, i:i + 1], B[i:i + 1, :])
+        tmp = np.empty(m, dtype=np.uint8)
+        for r, coefs in enumerate(A.tolist()):
+            acc = out[r]
+            for c, coef in enumerate(coefs):
+                if coef == 1:
+                    acc ^= B[c]
+                elif coef:
+                    # mode="raise" would buffer `out`; a byte cannot be out of range
+                    np.take(cls.MUL_TABLE[coef], B[c], out=tmp, mode="clip")
+                    acc ^= tmp
         return out
 
     @classmethod
@@ -106,3 +118,8 @@ class GF256:
                 if row != col and aug[row, col] != 0:
                     aug[row] ^= cls.mul(aug[row, col], aug[col])
         return aug[:, n:]
+
+
+_BYTES = np.arange(256, dtype=np.uint8)
+#: ``MUL_TABLE[a, b] == GF256.mul(a, b)`` for every pair of bytes
+GF256.MUL_TABLE = GF256.mul(_BYTES[:, None], _BYTES[None, :])

@@ -69,23 +69,28 @@ class ReedSolomon:
         return self.encode(data)[self.k:]
 
     # -- decoding -----------------------------------------------------
+    def _survivors(self, shares: dict[int, bytes]) -> tuple[np.ndarray, np.ndarray]:
+        """(k x k decode matrix, k stacked share rows) for the first k shares."""
+        if len(shares) < self.k:
+            raise ValueError(f"need at least {self.k} shares, got {len(shares)}")
+        if any(not 0 <= i < self.n for i in shares):
+            raise ValueError(f"share index out of range 0..{self.n - 1}")
+        idx = sorted(shares)[: self.k]
+        share_len = len(shares[idx[0]])
+        if any(len(shares[i]) != share_len for i in idx):
+            raise ValueError("shares have inconsistent lengths")
+        stacked = np.stack(
+            [np.frombuffer(shares[i], dtype=np.uint8) for i in idx]
+        )
+        return GF256.mat_inv(self.matrix[idx, :]), stacked
+
     def decode(self, shares: dict[int, bytes], data_len: int) -> bytes:
         """Recover the original data from any k shares.
 
         ``shares`` maps share index (0..k+m-1) to its bytes; exactly the
         available subset.  Raises if fewer than k are supplied.
         """
-        if len(shares) < self.k:
-            raise ValueError(f"need at least {self.k} shares, got {len(shares)}")
-        idx = sorted(shares)[: self.k]
-        share_len = len(shares[idx[0]])
-        if any(len(shares[i]) != share_len for i in idx):
-            raise ValueError("shares have inconsistent lengths")
-        sub = self.matrix[idx, :]
-        inv = GF256.mat_inv(sub)
-        stacked = np.stack(
-            [np.frombuffer(shares[i], dtype=np.uint8) for i in idx]
-        )
+        inv, stacked = self._survivors(shares)
         data_rows = GF256.mat_mul(inv, stacked)
         out = data_rows.reshape(-1)[:data_len]
         return out.tobytes()
@@ -94,5 +99,9 @@ class ReedSolomon:
         """Rebuild one missing share (degraded-mode repair)."""
         if not 0 <= target < self.k + self.m:
             raise ValueError("share index out of range")
-        data = self.decode(shares, data_len=self.k * len(shares[sorted(shares)[0]]))
-        return self.encode(data)[target]
+        inv, stacked = self._survivors(shares)
+        if target in shares:
+            return bytes(shares[target])
+        # one row of the generator through the decode matrix: 1 x k, not k + m rows
+        row = GF256.mat_mul(self.matrix[target:target + 1], inv)
+        return GF256.mat_mul(row, stacked)[0].tobytes()

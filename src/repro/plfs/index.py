@@ -16,6 +16,16 @@ semantics across concurrent writers (matching real PLFS, which stamps
 records with the write time).  Timestamps here come from a container-wide
 monotone counter so runs are deterministic.
 
+The merge is columnar: a dropping is decoded by one ``np.frombuffer``
+into a record array (the six :class:`IndexEntry` fields, one row per
+record), droppings are concatenated in dropping order and stably sorted
+by timestamp, and the interval map's payload is the row number.  Rows
+that overlap no other row commute with every other insert, so they are
+bulk-loaded; only the clashing rest goes through ``IntervalMap.insert``
+one at a time, in timestamp order.  ``read_into`` walks the map's pieces
+and ``preadv``s each one straight into the caller's buffer; an
+:class:`IndexEntry` object exists only for callers of ``lookup()``.
+
 Compaction merges records that are contiguous both logically and
 physically within one dropping — the optimization the report lists as
 "compress read-back indexes".
@@ -23,18 +33,27 @@ physically within one dropping — the optimization the report lists as
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
+import numpy as np
 
 from repro.obs import current as _current_obs
 from repro.plfs.intervalmap import IntervalMap, Segment
 
 _RECORD = struct.Struct("<qqqqd")
 RECORD_SIZE = _RECORD.size
+# the same 40 bytes as a numpy record
+_DISK = np.dtype([
+    ("logical_offset", "<i8"), ("length", "<i8"), ("physical_offset", "<i8"),
+    ("stored_length", "<i8"), ("timestamp", "<f8"),
+])
 
 
 @dataclass(frozen=True)
@@ -73,15 +92,70 @@ def pack_entry(
     return _RECORD.pack(logical_offset, length, physical_offset, stored_length, timestamp)
 
 
-def read_index_dropping(path: Path | str) -> list[IndexEntry]:
-    """Decode every record in one index dropping (dropping id left 0)."""
+# -- rows: one record array row per index record ---------------------------
+# A row is an IndexEntry's fields, in its order and with its meaning
+# (stored_length -1 = length), so IndexEntry(*row) is the entry.
+_ROW = np.dtype([(f.name, "<f8" if f.type == "float" else "<i8") for f in fields(IndexEntry)])
+_row_of = attrgetter(*_ROW.names)
+
+
+def _read_rows(path: Path | str, dropping: int) -> np.ndarray:
+    """Decode one index dropping into rows tagged with ``dropping``."""
     raw = Path(path).read_bytes()
     if len(raw) % RECORD_SIZE:
         raise ValueError(f"{path}: truncated index dropping ({len(raw)} bytes)")
-    return [
-        IndexEntry(lo, ln, po, ts, stored_length=(-1 if sl == ln else sl))
-        for lo, ln, po, sl, ts in _RECORD.iter_unpack(raw)
-    ]
+    disk = np.frombuffer(raw, dtype=_DISK)
+    rows = np.empty(len(disk), dtype=_ROW)
+    for name in _DISK.names:
+        rows[name] = disk[name]
+    rows["stored_length"][disk["stored_length"] == disk["length"]] = -1
+    rows["dropping"] = dropping
+    return rows
+
+
+def _rows(entries: Iterable[IndexEntry]) -> np.ndarray:
+    return np.array(list(map(_row_of, entries)), dtype=_ROW)
+
+
+def _compressed(rows: np.ndarray) -> np.ndarray:
+    """:attr:`IndexEntry.compressed`, per row."""
+    return (rows["stored_length"] >= 0) & (rows["stored_length"] != rows["length"])
+
+
+def read_index_dropping(path: Path | str) -> list[IndexEntry]:
+    """Decode every record in one index dropping (dropping id left 0)."""
+    return list(starmap(IndexEntry, _read_rows(path, 0).tolist()))
+
+
+def _compact(rows: np.ndarray) -> np.ndarray:
+    """The compaction rule: one row per run of rows that continue each other.
+
+    A row joins the run before it when both come from the same dropping,
+    neither is compressed, it continues the run logically and physically
+    and its timestamp is no older.  A merged run ends — logically,
+    physically and in time — where its last row ends, so comparing
+    neighbouring rows decides every join.
+    """
+    if not len(rows):
+        return rows
+    lo, ln, po = rows["logical_offset"], rows["length"], rows["physical_offset"]
+    ts, dropping = rows["timestamp"], rows["dropping"]
+    raw = ~_compressed(rows)
+    joins = (
+        (dropping[1:] == dropping[:-1])
+        & raw[1:] & raw[:-1]
+        & (lo[:-1] + ln[:-1] == lo[1:])
+        & (po[:-1] + ln[:-1] == po[1:])
+        & (ts[:-1] <= ts[1:])
+    )
+    first = np.flatnonzero(np.concatenate(([True], ~joins)))
+    last = np.append(first[1:], len(rows)) - 1
+    out = rows[first]
+    out["length"] = np.add.reduceat(ln, first)
+    out["timestamp"] = ts[last]     # keep the latest stamp for the merged run
+    merged = last > first
+    out["stored_length"][merged] = out["length"][merged]
+    return out
 
 
 def compact_entries(entries: Sequence[IndexEntry]) -> list[IndexEntry]:
@@ -92,48 +166,26 @@ def compact_entries(entries: Sequence[IndexEntry]) -> list[IndexEntry]:
     index for the common sequential-writer case (often by 100x or more for
     checkpoint workloads).
     """
-    out: list[IndexEntry] = []
-    for e in entries:
-        if out:
-            p = out[-1]
-            if (
-                p.dropping == e.dropping
-                and not p.compressed
-                and not e.compressed
-                and p.logical_end == e.logical_offset
-                and p.physical_offset + p.length == e.physical_offset
-                and p.timestamp <= e.timestamp
-            ):
-                out[-1] = IndexEntry(
-                    p.logical_offset,
-                    p.length + e.length,
-                    p.physical_offset,
-                    e.timestamp,  # keep the latest stamp for the merged run
-                    p.dropping,
-                    stored_length=p.length + e.length,
-                )
-                continue
-        out.append(e)
-    return out
+    return list(starmap(IndexEntry, _compact(_rows(entries)).tolist()))
 
 
 class GlobalIndex:
-    """Merged, queryable index for a whole container."""
+    """Merged, queryable index for a whole container.
 
-    def __init__(self, data_paths: Sequence[Path | str], entries: Iterable[IndexEntry]) -> None:
+    ``entries`` is an iterable of :class:`IndexEntry`, or the record array
+    :meth:`from_droppings` decodes (one row per entry).
+    """
+
+    def __init__(
+        self, data_paths: Sequence[Path | str], entries: Iterable[IndexEntry] | np.ndarray
+    ) -> None:
         self.data_paths = [Path(p) for p in data_paths]
+        rows = entries if isinstance(entries, np.ndarray) else _rows(entries)
         obs = _current_obs()
         span = obs.tracer.span("plfs.index.build") if obs is not None else None
         if span is not None:
             span.__enter__()
-        ordered = sorted(entries, key=lambda e: e.timestamp)
-        self.n_entries = 0
-        self._map = IntervalMap()
-        for e in ordered:
-            if e.length <= 0:
-                continue
-            self._map.insert(e.logical_offset, e.logical_end, e)
-            self.n_entries += 1
+        self._build(rows)
         if obs is not None:
             obs.metrics.counter("plfs.index.entries_merged").inc(self.n_entries)
             self._c_lookups = obs.metrics.counter("plfs.index.lookups")
@@ -143,6 +195,37 @@ class GlobalIndex:
         else:
             self._c_lookups = self._c_read_bytes = None
 
+    def _build(self, rows: np.ndarray) -> None:
+        """Merge ``rows`` last-writer-wins; ties keep the order given."""
+        rows = rows[rows["length"] > 0]
+        rows = rows[np.argsort(rows["timestamp"], kind="stable")]
+        lo = rows["logical_offset"]
+        end = lo + rows["length"]
+        if (end < lo).any():
+            raise ValueError("index record ends past the int64 logical byte space")
+        self._rows = rows
+        self.n_entries = len(rows)
+        # what read_into needs per piece, as lists: scalar access is its cost
+        self._dropping: list[int] = rows["dropping"].tolist()
+        self._physical: list[int] = rows["physical_offset"].tolist()
+        self._compressed: list[bool] = _compressed(rows).tolist()
+        # A row that overlaps no other row yields the same map wherever in
+        # the insert sequence it goes, so all of those load at once.  In
+        # start order, a row overlaps an earlier one when it starts below
+        # the running max of ends, and a later one when the next starts
+        # below its own end.
+        by_start = np.argsort(lo, kind="stable")
+        s, e = lo[by_start], end[by_start]
+        clash = np.zeros(len(rows), dtype=bool)
+        clash[1:] = s[1:] < np.maximum.accumulate(e)[:-1]
+        clash[:-1] |= s[1:] < e[:-1]
+        alone = by_start[~clash]
+        self._map = IntervalMap()
+        self._map.load_disjoint(lo[alone], end[alone], alone)
+        rest = np.sort(by_start[clash])     # row number = timestamp order
+        for row, a, b in zip(rest.tolist(), lo[rest].tolist(), end[rest].tolist()):
+            self._map.insert(a, b, row)
+
     # -- construction ----------------------------------------------------
     @classmethod
     def from_droppings(
@@ -151,20 +234,13 @@ class GlobalIndex:
         compact: bool = True,
     ) -> "GlobalIndex":
         """Build from [(data_path, index_path), ...]."""
-        data_paths = [p for p, _ in pairs]
-        entries: list[IndexEntry] = []
+        parts = [np.empty(0, dtype=_ROW)]
         for i, (_, index_path) in enumerate(pairs):
-            dropping_entries = [
-                IndexEntry(
-                    e.logical_offset, e.length, e.physical_offset, e.timestamp, i,
-                    stored_length=e.stored_length,
-                )
-                for e in read_index_dropping(index_path)
-            ]
+            rows = _read_rows(index_path, i)
             if compact:
-                dropping_entries = compact_entries(dropping_entries)
-            entries.extend(dropping_entries)
-        return cls(data_paths, entries)
+                rows = _compact(rows)
+            parts.append(rows)
+        return cls([p for p, _ in pairs], np.concatenate(parts))
 
     # -- queries -----------------------------------------------------------
     @property
@@ -184,7 +260,11 @@ class GlobalIndex:
         """
         if self._c_lookups is not None:
             self._c_lookups.value += 1.0
-        return self._map.query(offset, offset + length)
+        item = self._rows.item
+        return [
+            Segment(start, end, IndexEntry(*item(row)), skip)
+            for start, end, row, skip in self._map.pieces(offset, offset + length)
+        ]
 
     def physical_location(self, segment: Segment) -> tuple[Path, int]:
         """(data dropping path, physical offset) for a lookup segment.
@@ -206,38 +286,38 @@ class GlobalIndex:
         ``files`` caches open data-dropping file objects by dropping id.
         Holes are left as the buffer's existing (zero) content.
         """
-        length = len(out)
+        if self._c_lookups is not None:
+            self._c_lookups.value += 1.0
+        dropping, physical, compressed = self._dropping, self._physical, self._compressed
         mapped = 0
-        for seg in self.lookup(offset, length):
-            entry: IndexEntry = seg.payload
-            f = files.get(entry.dropping)
-            if f is None:
-                f = open(self.data_paths[entry.dropping], "rb")
-                files[entry.dropping] = f
-            if entry.compressed:
-                # decompress the whole stored blob, slice the segment
-                f.seek(entry.physical_offset)
-                blob = f.read(entry.stored)
-                if len(blob) != entry.stored:
-                    raise IOError(
-                        f"short read from {self.data_paths[entry.dropping]}: "
-                        f"wanted {entry.stored}, got {len(blob)}"
-                    )
-                plain = zlib.decompress(blob)
-                if len(plain) != entry.length:
-                    raise IOError("compressed entry decompressed to wrong length")
-                data = plain[seg.payload_offset:seg.payload_offset + seg.length]
-            else:
-                f.seek(entry.physical_offset + seg.payload_offset)
-                data = f.read(seg.length)
-                if len(data) != seg.length:
-                    raise IOError(
-                        f"short read from {self.data_paths[entry.dropping]}: "
-                        f"wanted {seg.length}, got {len(data)}"
-                    )
-            rel = seg.start - offset
-            out[rel:rel + seg.length] = data
-            mapped += seg.length
+        with memoryview(out) as view:
+            for start, end, row, skip in self._map.pieces(offset, offset + len(out)):
+                d = dropping[row]
+                f = files.get(d)
+                if f is None:
+                    f = files[d] = open(self.data_paths[d], "rb")
+                rel = start - offset
+                n = end - start
+                if compressed[row]:
+                    # decompress the whole stored blob, slice the segment
+                    _, length, phys, _, _, stored = self._rows.item(row)
+                    blob = os.pread(f.fileno(), stored, phys)
+                    if len(blob) != stored:
+                        raise IOError(
+                            f"short read from {self.data_paths[d]}: "
+                            f"wanted {stored}, got {len(blob)}"
+                        )
+                    plain = zlib.decompress(blob)
+                    if len(plain) != length:
+                        raise IOError("compressed entry decompressed to wrong length")
+                    view[rel:rel + n] = plain[skip:skip + n]
+                else:
+                    got = os.preadv(f.fileno(), [view[rel:rel + n]], physical[row] + skip)
+                    if got != n:
+                        raise IOError(
+                            f"short read from {self.data_paths[d]}: wanted {n}, got {got}"
+                        )
+                mapped += n
         if self._c_read_bytes is not None:
             self._c_read_bytes.value += mapped
         return mapped

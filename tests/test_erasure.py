@@ -71,6 +71,34 @@ def test_mat_inv_singular_rejected():
         GF256.mat_inv(A)
 
 
+def test_mul_table_is_mul_for_every_pair():
+    a, b = np.divmod(np.arange(65536), 256)
+    assert GF256.MUL_TABLE.shape == (256, 256) and GF256.MUL_TABLE.dtype == np.uint8
+    assert np.array_equal(GF256.MUL_TABLE[a, b], GF256.mul(a, b))
+
+
+def _mat_mul_reference(A, B):
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
+    for i in range(A.shape[1]):
+        out ^= GF256.mul(A[:, i:i + 1], B[i:i + 1, :])
+    return out
+
+
+@given(
+    n=st.integers(1, 6), k=st.integers(1, 6), m=st.sampled_from([1, 2, 17, 300]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_matches_reference_built_from_mul(n, k, m, seed):
+    rng = np.random.default_rng(seed)
+    # a third zeros, a third ones: the coefficients the kernel special-cases
+    A = rng.choice(np.array([0, 1, 0x53, 0xCA, 255], dtype=np.uint8), size=(n, k))
+    B = rng.integers(0, 256, size=(k, m), dtype=np.uint8)
+    assert np.array_equal(GF256.mat_mul(A, B), _mat_mul_reference(A, B))
+    A = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
+    assert np.array_equal(GF256.mat_mul(A, B), _mat_mul_reference(A, B))
+
+
 # ------------------------------------------------------------- Reed-Solomon
 def test_rs_systematic_first_k_shares_are_data():
     rs = ReedSolomon(4, 2)
@@ -124,6 +152,45 @@ def test_rs_reconstruct_share():
     assert rebuilt == shares[1]
     with pytest.raises(ValueError):
         rs.reconstruct_share(available, target=9, data_len=len(data))
+
+
+def test_rs_first_k_shares_are_the_padded_data_byte_for_byte():
+    rs = ReedSolomon(4, 2)
+    data = bytes(np.random.default_rng(3).integers(0, 256, size=4097, dtype=np.uint8))
+    shares = rs.encode(data)
+    assert len({len(s) for s in shares}) == 1
+    joined = b"".join(shares[:4])
+    assert joined == data + bytes(len(joined) - len(data))
+
+
+def test_rs_reconstructs_every_share_from_every_survivor_set():
+    import itertools
+
+    rs = ReedSolomon(4, 2)
+    data = bytes(np.random.default_rng(2).integers(0, 256, size=203, dtype=np.uint8))
+    shares = rs.encode(data)
+    for survivors in itertools.combinations(range(6), 4):
+        have = {i: shares[i] for i in survivors}
+        for target in range(6):
+            assert rs.reconstruct_share(have, target, len(data)) == shares[target], (
+                survivors, target,
+            )
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 9])
+def test_rs_share_index_out_of_range_rejected(bad):
+    rs = ReedSolomon(4, 2)
+    shares = rs.encode(b"x" * 40)
+    have = {bad: shares[5], 1: shares[1], 2: shares[2], 3: shares[3]}
+    assert not rs.can_decode(have)
+    with pytest.raises(ValueError, match="out of range"):
+        rs.decode(have, data_len=40)
+    with pytest.raises(ValueError, match="out of range"):
+        rs.reconstruct_share(have, target=0, data_len=40)
+    # an out-of-range index is refused even when k good shares come first
+    have = {i: shares[i] for i in range(4)} | {bad: shares[5]}
+    with pytest.raises(ValueError, match="out of range"):
+        rs.decode(have, data_len=40)
 
 
 def test_rs_param_validation():

@@ -170,3 +170,49 @@ def test_global_index_read_into_fills_holes_with_zeros(tmp_path):
     assert bytes(out) == bytes(10) + b"ABCDE"
     for f in files.values():
         f.close()
+
+
+def test_open_and_read_back_build_no_index_objects(tmp_path, monkeypatch):
+    """Opening a container and reading it back never constructs an
+    IndexEntry or a Segment; lookup() still hands out the same objects."""
+    from repro.plfs.filehandle import PlfsReadHandle, PlfsWriteHandle, WriteClock
+    from repro.plfs.intervalmap import Segment
+
+    n_writers, n_records, record = 8, 10_000, 64
+    c = Container.create(tmp_path / "ckpt")
+    clock = WriteClock()
+    handles = [PlfsWriteHandle(c, f"w{i}", clock) for i in range(n_writers)]
+    for k in range(n_records):      # N-1 strided: record k belongs to writer k % n
+        handles[k % n_writers].write(bytes([k % 251]) * record, k * record)
+    for h in handles:
+        h.close()
+
+    built = {IndexEntry: 0, Segment: 0}
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    with PlfsReadHandle(c) as reader:
+        assert reader.index.n_entries == n_records
+        chunk = 100 * record
+        for pos in range(0, reader.size, chunk):
+            got = reader.read(pos, chunk)
+            assert got == b"".join(
+                bytes([k % 251]) * record for k in range(pos // record, (pos + chunk) // record)
+            )
+        assert built == {IndexEntry: 0, Segment: 0}
+
+        droppings = [dp.writer for dp in c.iter_droppings()]
+        segs = reader.index.lookup(5 * record + 3, 2 * record)
+        assert built == {IndexEntry: 3, Segment: 3}
+        assert segs == [
+            Segment(
+                max(k * record, 5 * record + 3), min((k + 1) * record, 7 * record + 3),
+                IndexEntry(k * record, record, (k // n_writers) * record, float(k + 1),
+                           droppings.index(f"w{k % n_writers}")),
+                payload_offset=3 if k == 5 else 0,
+            )
+            for k in (5, 6, 7)
+        ]

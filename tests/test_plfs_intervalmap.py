@@ -136,3 +136,87 @@ def test_query_equals_full_scan(ops, qstart, qlen):
         max(0, min(s.end, qstart + qlen) - max(s.start, qstart)) for s in full
     )
     assert sum(s.length for s in segs) == expect
+
+
+# ------------------------------------------------------------- columns
+def test_load_disjoint_fills_an_empty_map():
+    m = IntervalMap()
+    m.load_disjoint([0, 10, 25], [10, 20, 30], ["a", "b", "c"])
+    m.check_invariants()
+    assert [(s.start, s.end, s.payload, s.payload_offset) for s in m] == [
+        (0, 10, "a", 0), (10, 20, "b", 0), (25, 30, "c", 0),
+    ]
+    assert (len(m), m.extent, m.covered_bytes()) == (3, 30, 25)
+    m.insert(5, 27, "d")      # later inserts clip bulk-loaded segments as usual
+    assert [(s.start, s.end, s.payload, s.payload_offset) for s in m.query(0, 30)] == [
+        (0, 5, "a", 0), (5, 27, "d", 0), (27, 30, "c", 2),
+    ]
+
+
+@pytest.mark.parametrize("starts, ends, why", [
+    ([10, 0], [20, 5], "unsorted"),
+    ([0, 5], [10, 15], "overlap"),
+    ([0, 0], [10, 10], "overlap"),
+    ([0, 10], [10, 10], "empty"),
+    ([0, 20], [10, 15], "empty"),
+    ([0, 10], [10], "length"),
+])
+def test_load_disjoint_rejects_bad_ranges(starts, ends, why):
+    m = IntervalMap()
+    with pytest.raises(ValueError, match=why):
+        m.load_disjoint(starts, ends, ["a", "b"])
+    assert len(m) == 0
+
+
+def test_load_disjoint_rejects_a_non_empty_map():
+    m = IntervalMap()
+    m.insert(0, 1, "x")
+    with pytest.raises(ValueError, match="empty map"):
+        m.load_disjoint([5], [6], ["a"])
+
+
+@given(insert_sequences())
+@settings(max_examples=80, deadline=None)
+def test_load_disjoint_commutes_with_inserts(ops):
+    """Bulk-loading the ranges that overlap no other range and inserting the
+    rest in order gives the map that inserting every range in order gives."""
+    alone = [
+        i for i, (s, e) in enumerate(ops)
+        if not any(s < e2 and s2 < e for j, (s2, e2) in enumerate(ops) if j != i)
+    ]
+    alone.sort(key=lambda i: ops[i])
+    bulk, plain = IntervalMap(), IntervalMap()
+    bulk.load_disjoint([ops[i][0] for i in alone], [ops[i][1] for i in alone], alone)
+    for i, (start, end) in enumerate(ops):
+        plain.insert(start, end, i)
+        if i not in alone:
+            bulk.insert(start, end, i)
+    bulk.check_invariants()
+    assert list(bulk) == list(plain)
+
+
+@given(insert_sequences(), st.integers(0, 300), st.integers(0, 100))
+@settings(max_examples=80, deadline=None)
+def test_pieces_are_query_without_the_objects(ops, qstart, qlen):
+    m = IntervalMap()
+    for i, (start, end) in enumerate(ops):
+        m.insert(start, end, i)
+    assert [Segment(*p) for p in m.pieces(qstart, qstart + qlen)] == m.query(qstart, qstart + qlen)
+
+
+@pytest.mark.parametrize("column", ["_starts", "_ends", "_payloads", "_offsets"])
+def test_check_invariants_covers_every_column(column):
+    m = IntervalMap()
+    m.load_disjoint([0, 10], [10, 20], ["a", "b"])
+    getattr(m, column).pop()
+    with pytest.raises(AssertionError):
+        m.check_invariants()
+
+
+def test_check_invariants_catches_bad_column_values():
+    for column, value in [("_ends", 0), ("_starts", 15), ("_offsets", -1)]:
+        m = IntervalMap()
+        m.load_disjoint([0, 10], [10, 20], ["a", "b"])
+        getattr(m, column)[0] = value
+        with pytest.raises(AssertionError):
+            m.check_invariants()

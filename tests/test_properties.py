@@ -111,6 +111,130 @@ def test_index_compaction_is_semantically_invisible(tmp_path_factory, writes):
     assert out_a == out_b
 
 
+@st.composite
+def droppings(draw):
+    """Per writer: compress flag, records (offset, payload) and the offsets
+    of zero-length records appended to its index dropping by hand."""
+    payload = st.one_of(
+        st.binary(min_size=1, max_size=40),                 # incompressible: kept raw
+        st.builds(lambda b, n: bytes([b]) * n, st.integers(0, 255), st.integers(20, 60)),
+    )
+    writers = []
+    for _ in range(draw(st.integers(1, 4))):
+        records = draw(st.lists(st.tuples(st.integers(0, 250), payload), min_size=1, max_size=12))
+        # runs of contiguous appends, so compaction has something to merge
+        if draw(st.booleans()):
+            off, data = records[-1]
+            for _ in range(draw(st.integers(1, 4))):
+                off += len(data)
+                data = draw(payload)
+                records.append((off, data))
+        empties = draw(st.lists(st.integers(0, 300), max_size=2))
+        writers.append((draw(st.booleans()), records, empties))
+    return writers
+
+
+def _compact_reference(recs):
+    """The compaction rule as the sequential loop it was first written as.
+
+    A record is (offset, length, physical, stored, stamp, dropping, payload).
+    """
+    out = []
+    for e in recs:
+        if out:
+            p = out[-1]
+            if (
+                p[5] == e[5] and p[3] == p[1] and e[3] == e[1]
+                and p[0] + p[1] == e[0] and p[2] + p[1] == e[2] and p[4] <= e[4]
+            ):
+                out[-1] = (p[0], p[1] + e[1], p[2], p[1] + e[1], e[4], p[5], p[6] + e[6])
+                continue
+        out.append(e)
+    return out
+
+
+@given(writers=droppings(), compact=st.booleans(), window=st.tuples(
+    st.integers(0, 320), st.integers(1, 120)))
+@settings(max_examples=60, deadline=None)
+def test_global_index_matches_byte_owner_oracle(tmp_path_factory, writers, compact, window):
+    """Merged index, read_into and lookup agree, byte for byte, with an array
+    holding the last-written record of every logical byte (timestamp order,
+    ties broken by dropping order) — over rewrites, zero-length records,
+    compressed and kept-raw payloads and stamps that tie across writers."""
+    import struct
+    import zlib
+
+    from repro.plfs.filehandle import PlfsWriteHandle
+    from repro.plfs.index import IndexEntry, pack_entry
+
+    c = Container.create(tmp_path_factory.mktemp("oracle") / "c")
+    payloads = {}
+    for w, (compress, records, empties) in enumerate(writers):
+        # no shared clock: every writer stamps 1.0, 2.0, ... so stamps tie
+        with PlfsWriteHandle(c, f"w{w}", compress=compress) as h:
+            for off, data in records:
+                h.write(data, off)
+        payloads[f"w{w}"] = [data for _, data in records] + [b""] * len(empties)
+        with open(c.dropping_paths(f"w{w}").index_path, "ab") as f:
+            for stamp, off in enumerate(empties, start=2):
+                f.write(pack_entry(off, 0, 0, float(stamp)))
+
+    pairs, recs = [], []
+    for d, dp in enumerate(c.iter_droppings()):
+        pairs.append((dp.data_path, dp.index_path))
+        stored = dp.data_path.read_bytes()
+        mine = []
+        for (lo, ln, po, sl, ts), data in zip(
+            struct.iter_unpack("<qqqqd", dp.index_path.read_bytes()), payloads[dp.writer]
+        ):
+            assert ln == len(data)
+            blob = stored[po:po + sl]
+            assert (zlib.decompress(blob) if sl != ln else blob) == data
+            mine.append((lo, ln, po, sl, ts, d, data))
+        recs.extend(_compact_reference(mine) if compact else mine)
+
+    size = max(lo + ln for lo, ln, *_ in recs if ln)   # an empty record maps no byte
+    owner = [None] * size
+    expect = bytearray(size)
+    for rec in sorted(recs, key=lambda r: r[4]):     # stable: ties keep dropping order
+        lo, ln, data = rec[0], rec[1], rec[6]
+        owner[lo:lo + ln] = [rec] * ln
+        expect[lo:lo + ln] = data
+
+    gi = GlobalIndex.from_droppings(pairs, compact=compact)
+    gi._map.check_invariants()
+    assert gi.eof == size
+    assert gi.n_entries == sum(1 for r in recs if r[1] > 0)
+    assert gi.covered_bytes() == sum(o is not None for o in owner)
+    files = {}
+    try:
+        out = bytearray(size)
+        assert gi.read_into(out, 0, files) == gi.covered_bytes()
+        assert out == expect
+        start, length = window
+        out = bytearray(length)
+        mapped = gi.read_into(out, start, files)
+        assert out == bytes(expect[start:start + length]).ljust(length, b"\0")
+        assert mapped == sum(o is not None for o in owner[start:start + length])
+    finally:
+        for f in files.values():
+            f.close()
+
+    segs = gi.lookup(0, size)
+    assert all(a.end <= b.start for a, b in zip(segs, segs[1:]))
+    assert sum(s.length for s in segs) == gi.covered_bytes()
+    for seg in segs:
+        for b in range(seg.start, seg.end):
+            lo, ln, po, sl, ts, d, _ = owner[b]
+            assert seg.payload == IndexEntry(lo, ln, po, ts, d, seg.payload.stored_length)
+            assert seg.payload.stored == sl
+            assert seg.payload_offset == seg.start - lo
+        if not seg.payload.compressed:
+            path, phys = gi.physical_location(seg)
+            assert path == pairs[seg.payload.dropping][0]
+            assert path.read_bytes()[phys:phys + seg.length] == expect[seg.start:seg.end]
+
+
 # ------------------------------------------------------------- erasure
 @given(
     data=st.binary(min_size=1, max_size=200),

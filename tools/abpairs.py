@@ -1,0 +1,109 @@
+#!/usr/bin/env python
+"""Alternating parent/change runs of one benchmark workload.
+
+Runs ``python3 perf/run.py --workload W --seed N --seconds S --trace 0`` in
+two checkouts, ``--pairs`` times each, alternating which side goes first,
+and prints for every end-to-end metric of ``BENCHMARK.json``: both medians
+with quartiles, the pairs the change won (a tie counts for neither side),
+whether the change's median is within the metric's regression bound, and
+whether the rule for claiming a gain holds — the change wins at least nine
+tenths of the pairs and the medians differ by more than the distance
+between the parent's own quartiles.  Every run made is printed.
+
+Usage: ``python tools/abpairs.py PARENT_DIR CHANGE_DIR --workload real_io
+[--pairs 10] [--seconds 20] [--seed 0]``.  The exit status reports only
+whether every run completed with correct output; no timing is gated.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+MIN_PAIRS = 10      # fewer pairs than this support no claim either way
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One driver-mode run in ``checkout``; its end-to-end metric values."""
+    cmd = [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr.strip()}")
+    doc = json.loads(proc.stdout)
+    if not doc["correct"]:
+        raise RuntimeError(f"{checkout}: wrong output ({doc['failed']} failed operations)")
+    return {name: m["value"] for name, m in doc["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def num(v: float) -> str:
+    return f"{v:,.0f}" if abs(v) >= 1000 else f"{v:.3f}"
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """One table row: medians, quartiles, pairs won, bound and gain rule."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    won = sum(sign * c > sign * p for p, c in zip(parent, change))
+    lost = sum(sign * c < sign * p for p, c in zip(parent, change))
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    gap = sign * (cm - pm)
+    within = gap >= -metric["bound"] * abs(pm)
+    need = 0.9 * len(parent)
+    if len(parent) < MIN_PAIRS:
+        rule = f"no claim (under {MIN_PAIRS} pairs)"
+    elif won >= need and gap > p3 - p1:
+        rule = "gain"
+    elif lost >= need and -gap > p3 - p1:
+        rule = "worse"
+    else:
+        rule = "no claim"
+    return (f"{metric['name']:<19} {metric['better']:<6} "
+            f"{num(pm):>9} [{num(p1)}, {num(p3)}]  ->  {num(cm):>9} [{num(c1)}, {num(c3)}]  "
+            f"x{cm / pm if pm else float('nan'):.3f}  won {won}/{len(parent)}  "
+            f"bound {metric['bound']:.0%} {'held' if within else 'BROKEN'}  {rule}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_dir", type=Path)
+    ap.add_argument("change_dir", type=Path)
+    ap.add_argument("--workload", required=True,
+                    choices=[w["name"] for w in BENCHMARK["workloads"]])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    metrics = BENCHMARK["end_to_end"]
+    sides = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
+    runs = {side: [] for side in sides}
+    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs x {args.seconds:g} s")
+    print("pair side    " + "  ".join(f"{m['name']:>18}" for m in metrics))
+    for pair in range(args.pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            try:
+                got = run_once(sides[side], args.workload, args.seed, args.seconds)
+            except (RuntimeError, ValueError, KeyError) as exc:
+                print(f"pair {pair} {side}: {exc}", file=sys.stderr)
+                return 1
+            runs[side].append(got)
+            print(f"{pair:>4} {side:<7} " + "  ".join(f"{got[m['name']]:>18,.4f}" for m in metrics),
+                  flush=True)
+    print("\nmetric              better  parent median [q1, q3]  ->  change median [q1, q3]")
+    for m in metrics:
+        print(verdict(m, *([r[m["name"]] for r in runs[side]] for side in ("parent", "change"))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
