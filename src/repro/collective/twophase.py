@@ -218,6 +218,9 @@ def run_collective_write(
             **ctx.span_attrs(),
         )
         obs.metrics.gauge("collective.aggregators").set(n_agg)
+        # every aggregator bumps both; resolve them once, not per aggregator
+        c_shuffle = obs.metrics.counter("collective.shuffle_bytes")
+        c_written = obs.metrics.counter("collective.written_bytes")
         if cap:
             obs.metrics.gauge("collective.fanin_cap").set(cap)
     start = sim.now
@@ -258,7 +261,7 @@ def run_collective_write(
         phase1_end[g] = sim.now
         if obs is not None:
             p1.finish(at=sim.now)
-            obs.metrics.counter("collective.shuffle_bytes").inc(nbytes)
+            c_shuffle.inc(nbytes)
             p2 = obs.tracer.start("collective.phase2", parent=asp, at=sim.now)
         # phase 2: write the domain in collective-buffer-sized chunks
         buf = params.write_buffer_bytes
@@ -270,7 +273,7 @@ def run_collective_write(
                 pos += take
         if obs is not None:
             p2.finish(at=sim.now)
-            obs.metrics.counter("collective.written_bytes").inc(nbytes)
+            c_written.inc(nbytes)
             asp.finish(at=sim.now)
 
     for g, extents in enumerate(domains):

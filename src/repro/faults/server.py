@@ -40,6 +40,7 @@ class FaultableServer:
         self._downtime = 0.0
         self._up_event = None
         self._down_span = None
+        self._g_down = None    # faults.servers_down, held from the first crash
 
     def crash(self, park: bool = False) -> None:
         """Take the server down.  Idempotent; ``park`` picks the flavor."""
@@ -54,7 +55,9 @@ class FaultableServer:
         self._on_crash()
         obs = self.sim.obs
         if obs is not None:
-            obs.metrics.gauge("faults.servers_down").inc()
+            if self._g_down is None:
+                self._g_down = obs.metrics.gauge("faults.servers_down")
+            self._g_down.inc()
             self._down_span = obs.tracer.start(
                 "faults.server_down", at=self.sim.now, server=self.index, park=park
             )
@@ -69,9 +72,8 @@ class FaultableServer:
         ev, self._up_event = self._up_event, None
         ev.succeed(self.sim.now)
         self._on_recover()
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.gauge("faults.servers_down").dec()
+        if self._g_down is not None:
+            self._g_down.dec()
         if self._down_span is not None:
             self._down_span.finish(at=self.sim.now)
             self._down_span = None

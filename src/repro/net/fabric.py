@@ -16,7 +16,8 @@ module is the one place the reproduction models that network:
 * :class:`SwitchPort` — one switch output port: a link plus a finite
   shared output buffer, with drop/timeout/window semantics generalized
   from the incast model and per-port ``repro.obs`` metrics
-  (drops, timeouts, retransmits, occupancy, bytes);
+  (drops, timeouts, retransmits, occupancy, bytes), each registered
+  the first time the port has something to record in it;
 * :class:`Topology` — client NICs → switch → server NICs, driven as
   :class:`repro.sim.Simulator` processes.  Used by
   :class:`repro.pfs.SimPFS` for every client→server request and
@@ -68,6 +69,7 @@ from typing import Optional
 import numpy as np
 
 from repro.net.fluid import FluidEngine, windowed_rounds
+from repro.obs.metrics import HeldSeries
 from repro.sim import Acquire, Resource, Simulator, Timeout
 
 #: Occupancy histogram bucket edges (packets queued at a port).
@@ -284,6 +286,15 @@ class SwitchPort:
     (recorded by :meth:`Topology._windowed` from the request context),
     deliberately a *separate* metric family so per-port label sets stay
     exactly as :class:`FabricFeedback` expects.
+
+    **Series on first use.**  Construction keeps only the registry
+    handle.  A series is registered by the first ``record_*`` with a
+    non-zero amount (or the first :meth:`admit`, for occupancy), so a
+    port's series exists iff something was recorded in it and a series
+    that exists equals the matching ``total_*``: a 64,000-port fabric
+    with one hot port costs one port's worth of registry, and readers
+    (:class:`FabricFeedback`, reports) treat a missing series as zero
+    via :meth:`repro.obs.MetricsRegistry.value`.
     """
 
     def __init__(
@@ -310,21 +321,12 @@ class SwitchPort:
         self.res: Optional[Resource] = (
             Resource(sim, capacity=1, name=f"{name}.link") if sim is not None else None
         )
-        if obs is not None:
-            m = obs.metrics
-            self._c_drops = m.counter("net.fabric.drops_pkts", port=name)
-            self._c_timeouts = m.counter("net.fabric.timeouts", port=name)
-            self._c_retransmits = m.counter("net.fabric.retransmits", port=name)
-            self._c_bytes = m.counter("net.fabric.bytes", port=name)
-            self._c_blackouts = m.counter("net.fabric.blackouts", port=name)
-            self._g_occupancy = m.gauge("net.fabric.occupancy_pkts", port=name)
-            self._h_occupancy = m.histogram(
-                "net.fabric.occupancy_pkts.hist", buckets=OCCUPANCY_BUCKETS, port=name
-            )
-        else:
-            self._c_drops = self._c_timeouts = self._c_retransmits = None
-            self._c_bytes = self._c_blackouts = None
-            self._g_occupancy = self._h_occupancy = None
+        # only the registry handle is kept here; each series is resolved
+        # by the first record_*/admit that has something to put in it
+        self._metrics = obs.metrics if obs is not None else None
+        self._c_drops = self._c_timeouts = self._c_retransmits = None
+        self._c_bytes = self._c_blackouts = None
+        self._g_occupancy = self._h_occupancy = None
 
     # -- geometry ------------------------------------------------------
     @property
@@ -385,7 +387,13 @@ class SwitchPort:
 
     def admit(self, pkts: int) -> None:
         self.occupancy_pkts += pkts
-        if self._g_occupancy is not None:
+        if self._metrics is not None:
+            if self._h_occupancy is None:
+                m, name = self._metrics, self.name
+                self._g_occupancy = m.gauge("net.fabric.occupancy_pkts", port=name)
+                self._h_occupancy = m.histogram(
+                    "net.fabric.occupancy_pkts.hist", buckets=OCCUPANCY_BUCKETS, port=name
+                )
             self._g_occupancy.set(self.occupancy_pkts)
             self._h_occupancy.observe(self.occupancy_pkts)
 
@@ -395,30 +403,42 @@ class SwitchPort:
             self._g_occupancy.set(self.occupancy_pkts)
 
     # -- event accounting ---------------------------------------------
+    def _mirror(self, attr: str, what: str, n: int) -> None:
+        """Add ``n`` to ``net.fabric.<what>{port=}``, held in ``attr``.
+
+        The first non-zero bump registers the series; only called under
+        a bundle.
+        """
+        c = getattr(self, attr)
+        if c is None:
+            c = self._metrics.counter(f"net.fabric.{what}", port=self.name)
+            setattr(self, attr, c)
+        c.value += n
+
     def record_drops(self, pkts: int) -> None:
         self.total_drops_pkts += pkts
-        if self._c_drops is not None and pkts:
-            self._c_drops.inc(pkts)
+        if self._metrics is not None and pkts:
+            self._mirror("_c_drops", "drops_pkts", pkts)
 
     def record_timeouts(self, n: int = 1) -> None:
         self.total_timeouts += n
-        if self._c_timeouts is not None and n:
-            self._c_timeouts.inc(n)
+        if self._metrics is not None and n:
+            self._mirror("_c_timeouts", "timeouts", n)
 
     def record_retransmit(self, n: int = 1) -> None:
         self.total_retransmits += n
-        if self._c_retransmits is not None and n:
-            self._c_retransmits.inc(n)
+        if self._metrics is not None and n:
+            self._mirror("_c_retransmits", "retransmits", n)
 
     def record_bytes(self, nbytes: int) -> None:
         self.total_bytes += nbytes
-        if self._c_bytes is not None and nbytes:
-            self._c_bytes.inc(nbytes)
+        if self._metrics is not None and nbytes:
+            self._mirror("_c_bytes", "bytes", nbytes)
 
     def record_blackout(self, n: int = 1) -> None:
         self.total_blackouts += n
-        if self._c_blackouts is not None and n:
-            self._c_blackouts.inc(n)
+        if self._metrics is not None and n:
+            self._mirror("_c_blackouts", "blackouts", n)
 
     def stats(self) -> dict:
         """The authoritative always-on totals, as one sorted-key dict."""
@@ -445,7 +465,9 @@ class FabricFeedback:
     (:class:`repro.placement.congestion.CongestionAwarePlacement`): it
     snapshots the per-port metrics :class:`SwitchPort` exports
     (``net.fabric.occupancy_pkts`` gauges, ``net.fabric.drops_pkts`` /
-    ``timeouts`` / ``bytes`` counters) at a configurable interval and
+    ``timeouts`` / ``bytes`` counters; read by ``(name, port)`` without
+    registering — a port that never recorded reads as zeros) at a
+    configurable interval and
     folds them into one exponentially-weighted cost per server port::
 
         instant = occupancy / buffer_norm + drop_weight * new_drops
@@ -532,12 +554,14 @@ class FabricFeedback:
         return self._port_signature(f"{self.port_prefix}{server}")
 
     def _port_signature(self, port: str) -> tuple:
-        m = self.metrics
+        # read-only: a port that never recorded reads as zeros and
+        # stays unregistered
+        value = self.metrics.value
         return (
-            m.gauge("net.fabric.occupancy_pkts", port=port).value,
-            m.counter("net.fabric.drops_pkts", port=port).value,
-            m.counter("net.fabric.timeouts", port=port).value,
-            m.counter("net.fabric.bytes", port=port).value,
+            value("net.fabric.occupancy_pkts", port=port),
+            value("net.fabric.drops_pkts", port=port),
+            value("net.fabric.timeouts", port=port),
+            value("net.fabric.bytes", port=port),
         )
 
     def refresh(self, now: Optional[float] = None) -> None:
@@ -667,6 +691,13 @@ class Topology:
         self.rpc_latency_s = rpc_latency_s
         self.name = name
         self.obs = getattr(sim, "obs", None)
+        # open cohort spans of anonymous flows, by (entry instant, hops),
+        # and the flow-duration histograms, by hops (see _flow_span)
+        self._cohorts: dict[tuple[float, int], list] = {}
+        metrics = self.obs.metrics if self.obs is not None else None
+        self._h_xfer = HeldSeries(
+            lambda hops: metrics.histogram("net.fabric.xfer_s", hops=hops)
+        )
         self.rng = np.random.default_rng(fabric.seed)
         self._client_nics: dict[int, Resource] = {}
         self._client_ports: dict[int, SwitchPort] = {}
@@ -906,6 +937,60 @@ class Topology:
         """Fluid-engine totals (epochs, probes, stalls); None in exact mode."""
         return self._fluid_engine.stats() if self._fluid_engine is not None else None
 
+    # -- flight recorder: one span rule for both engines -----------------
+    def _flow_span(self, path: list[SwitchPort], nbytes: int, parent_span, ctx):
+        """The ``fabric.xfer`` span of a flow entering the fabric now.
+
+        A flow that carries a ``ctx`` or a ``parent_span`` is reachable
+        from a request query and gets a span of its own.  An *anonymous*
+        flow is not, so it joins the cohort span of every anonymous flow
+        with the same hop count entering at this simulated instant:
+        ``n_flows`` members, ``nbytes`` summed, closed by the last member
+        to finish (see :meth:`_flow_done`).  Only called under a bundle.
+        """
+        now = self.sim.now
+        hops = len(path)
+        anonymous = ctx is None and parent_span is None
+        if anonymous:
+            cohort = self._cohorts.get((now, hops))
+            if cohort is not None:
+                span = cohort[0]
+                span.attrs["n_flows"] += 1
+                span.attrs["nbytes"] += nbytes
+                cohort[1] += 1
+                return span
+            attrs = {"n_flows": 1}
+        else:
+            attrs = ctx.span_attrs() if ctx is not None else {}
+        span = self.obs.tracer.start(
+            "fabric.xfer", parent=parent_span, at=now,
+            port=path[-1].name, nbytes=nbytes, hops=hops, **attrs,
+        )
+        if anonymous:
+            self._cohorts[(now, hops)] = [span, 1]  # [span, members in flight]
+        return span
+
+    def _flow_done(self, span, path: list[SwitchPort]) -> None:
+        """A flow finished: time it, and close its span if it is the last.
+
+        Every flow lands in ``net.fabric.xfer_s{hops=}``, so the duration
+        distribution survives cohort aggregation.  A cohort span ends
+        with its last member and names that straggler's destination as
+        ``port``.
+        """
+        now = self.sim.now
+        hops = len(path)
+        self._h_xfer[hops].observe(now - span.start)
+        if "n_flows" in span.attrs:
+            key = (span.start, hops)
+            cohort = self._cohorts[key]
+            cohort[1] -= 1
+            if cohort[1]:
+                return
+            del self._cohorts[key]
+            span.attrs["port"] = path[-1].name
+        span.finish(at=now)
+
     def _fluid(self, path: list[SwitchPort], nbytes: int, parent_span=None, cwnd_cap=None, ctx=None):
         """One flow through the fluid engine (``FabricParams.mode="fluid"``).
 
@@ -925,11 +1010,7 @@ class Topology:
         fab = self.fabric
         span = None
         if self.obs is not None:
-            attrs = ctx.span_attrs() if ctx is not None else {}
-            span = self.obs.tracer.start(
-                "fabric.xfer", parent=parent_span, at=self.sim.now,
-                port=path[-1].name, nbytes=nbytes, hops=len(path), **attrs,
-            )
+            span = self._flow_span(path, nbytes, parent_span, ctx)
         max_w = fab.max_cwnd if cwnd_cap is None else max(1, min(fab.max_cwnd, cwnd_cap))
         npkts = -(-nbytes // fab.pkt_bytes)  # ceil
         t0 = self.sim.now
@@ -962,7 +1043,7 @@ class Topology:
         for p in path:
             p.record_bytes(nbytes)
         if span is not None:
-            span.finish(at=self.sim.now)
+            self._flow_done(span, path)
 
     def _windowed(self, path: list[SwitchPort], nbytes: int, parent_span=None, cwnd_cap=None, ctx=None):
         """One flow's windowed injection through a *path* of finite buffers.
@@ -997,11 +1078,7 @@ class Topology:
         span = None
         t_drops = t_rtos = None
         if self.obs is not None:
-            attrs = ctx.span_attrs() if ctx is not None else {}
-            span = self.obs.tracer.start(
-                "fabric.xfer", parent=parent_span, at=self.sim.now,
-                port=path[-1].name, nbytes=nbytes, hops=len(path), **attrs,
-            )
+            span = self._flow_span(path, nbytes, parent_span, ctx)
             if ctx is not None:
                 m = self.obs.metrics
                 t_drops = m.counter("net.fabric.tenant.drops_pkts", tenant=ctx.tenant)
@@ -1056,7 +1133,7 @@ class Topology:
         for p in path:
             p.record_bytes(nbytes)
         if span is not None:
-            span.finish(at=self.sim.now)
+            self._flow_done(span, path)
 
 
 # -- the round-based synchronized fan-in engine (incast) ---------------

@@ -22,7 +22,14 @@ One :class:`Observability` bundle is *activated* for a job::
 
 Instrumented components look the bundle up once at construction time
 (``obs.current()`` or ``Simulator.obs``); with nothing active every hook
-is a single ``is None`` test, so uninstrumented runs stay fast.
+is a single ``is None`` test, so uninstrumented runs stay fast.  What is
+looked up at construction is the bundle *handle*, not its series: a
+component registers a metric series the first time it has something to
+record in it and holds the resolved series from then on
+(:class:`HeldSeries`), so recording costs follow what happened, not
+what exists, and reading (:meth:`MetricsRegistry.value`) registers
+nothing.  ``docs/observability.md`` § "What the recorder costs" has the
+numbers.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from repro.obs.context import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
+    HeldSeries,
     MetricsRegistry,
 )
 from repro.obs.spans import Span, Tracer, spans_to_tracelog
@@ -86,6 +94,10 @@ class Observability:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(self.clock)
         self._next_rid = 0
+        metrics = self.metrics
+        self._c_requests = HeldSeries(
+            lambda tenant: metrics.counter("obs.requests", tenant=tenant)
+        )
 
     def request_context(
         self, op: str = "", tenant: str = "default", origin: str = ""
@@ -97,7 +109,7 @@ class Observability:
         every bundle, so same-seed runs trace identically.
         """
         self._next_rid += 1
-        self.metrics.counter("obs.requests", tenant=tenant).inc()
+        self._c_requests[tenant].inc()
         return RequestContext(self._next_rid, tenant=tenant, op=op, origin=origin)
 
     def report(self, meta: Optional[dict] = None, top_spans: int = 10) -> dict:

@@ -133,6 +133,27 @@ class Histogram:
         return f"Histogram({render_key(self.name, self.labels)}, n={self.count})"
 
 
+class HeldSeries(dict):
+    """Series resolved once per key and then held: ``held[key]`` is a dict hit.
+
+    ``registry.counter(name, **labels)`` sorts its labels and probes the
+    registry on every call.  A site that records under a few keys wraps
+    that lookup — ``HeldSeries(lambda key: registry.counter(...))`` —
+    and pays it on a key's first use only; until then nothing is
+    registered, so a key that never records leaves no series behind.
+    """
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, key):
+        series = self[key] = self._resolve(key)
+        return series
+
+
 class MetricsRegistry:
     """Deterministic registry of named, labelled metrics.
 
@@ -171,6 +192,22 @@ class MetricsRegistry:
         return self._get(
             Histogram, name, labels, edges=buckets or DEFAULT_LATENCY_BUCKETS
         )
+
+    def value(self, name: str, default: float = 0.0, **labels) -> float:
+        """Read one counter or gauge without registering it.
+
+        A series that was never recorded reads as ``default`` and stays
+        unregistered, so sensing a registry cannot grow it.
+        """
+        metric = self._metrics.get((name, _label_items(labels)))
+        if metric is None:
+            return default
+        if isinstance(metric, Histogram):
+            raise TypeError(
+                f"metric {render_key(name, metric.labels)!r} is a Histogram; "
+                "it has no single value"
+            )
+        return metric.value  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self._metrics)

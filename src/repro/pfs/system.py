@@ -19,6 +19,7 @@ from repro.faults.errors import FaultError, OpTimeout, RetriesExhausted, ServerD
 from repro.faults.resilience import RedundancySpec, ResilienceParams
 from repro.faults.server import FaultableServer
 from repro.net.fabric import Link, Topology
+from repro.obs.metrics import HeldSeries
 from repro.pfs.layout import Extent, PlacedLayout, StripeLayout
 from repro.placement.congestion import build_placement
 from repro.pfs.locks import BlockLockManager
@@ -276,10 +277,17 @@ class SimPFS:
         # parity-share space allocation per (file_id, server)
         self._parity_off: dict[tuple[int, int], int] = {}
         self.obs = sim.obs
-        self.counters = Counter(
-            registry=self.obs.metrics if self.obs else None, prefix="pfs."
+        m = self.obs.metrics if self.obs else None
+        self.counters = Counter(registry=m, prefix="pfs.")
+        # recorder series, resolved on first use and then held; only
+        # touched under a bundle
+        self._c_client = HeldSeries(
+            lambda key: m.counter(f"pfs.client.{key[0]}", client=key[1])
         )
-        self._c_client: dict[tuple[str, int], object] = {}
+        self._c_faults = HeldSeries(
+            lambda key: m.counter(f"faults.{key[0]}", **dict(key[1:]))
+        )
+        self._h_faults = HeldSeries(lambda name: m.histogram(f"faults.{name}"))
         # cost of a read-modify-write merge of one lock block (served remotely)
         p = params
         self._rmw_read_s = (
@@ -433,11 +441,7 @@ class SimPFS:
         """Count the finished op's bytes (globally and per client), close ``sp``."""
         self.counters.add(what, nbytes)
         if sp is not None:
-            c = self._c_client.get((what, client))
-            if c is None:
-                c = self.obs.metrics.counter(f"pfs.client.{what}", client=client)
-                self._c_client[(what, client)] = c
-            c.inc(nbytes)
+            self._c_client[(what, client)].inc(nbytes)
             sp.finish(at=self.sim.now)
 
     # -- degraded-mode data path --------------------------------------------
@@ -447,7 +451,7 @@ class SimPFS:
 
     def _fcount(self, name: str, amount: float = 1.0, **labels) -> None:
         if self.obs is not None:
-            self.obs.metrics.counter(f"faults.{name}", **labels).inc(amount)
+            self._c_faults[(name, *labels.items())].inc(amount)
 
     def _note_fault(self, exc: FaultError) -> None:
         if isinstance(exc, OpTimeout):
@@ -618,7 +622,7 @@ class SimPFS:
             ctx.retries += 1
             self._fcount("tenant.retries", tenant=ctx.tenant)
         if self.obs is not None:
-            self.obs.metrics.histogram("faults.backoff_s").observe(delay)
+            self._h_faults["backoff_s"].observe(delay)
         yield Timeout(delay)
 
     def _ft_write_child(self, fh, client, server, sexts, sbytes, parent_span,

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.faults.errors import FaultError
+from repro.obs.metrics import HeldSeries
 from repro.placement.rebuild import FlapStats, RebuildPlacement
 from repro.sim import Process, Simulator, Store, Timeout, Wait
 
@@ -103,12 +104,17 @@ class Scrubber:
             "rebuild_failures": 0,
         }
         self._procs: list[Process] = []
+        # recorder series, resolved on first use and then held
+        m = self.obs.metrics if self.obs is not None else None
+        self._c_obs = HeldSeries(lambda name: m.counter(f"scrub.{name}"))
+        self._g_obs = HeldSeries(lambda name: m.gauge(f"scrub.{name}"))
+        self._h_obs = HeldSeries(lambda name: m.histogram(f"scrub.{name}"))
 
     # -- metrics --------------------------------------------------------
     def _count(self, name: str, amount: float = 1.0) -> None:
         self.counts[name] += amount
         if self.obs is not None:
-            self.obs.metrics.counter(f"scrub.{name}").inc(amount)
+            self._c_obs[name].inc(amount)
 
     def throttle_occupancy(self) -> float:
         """Fraction of the repair-bandwidth budget spent since start()."""
@@ -119,9 +125,8 @@ class Scrubber:
 
     def _gauges(self) -> None:
         if self.obs is not None:
-            m = self.obs.metrics
-            m.gauge("scrub.queue_depth").set(len(self._pending))
-            m.gauge("scrub.throttle_occupancy").set(self.throttle_occupancy())
+            self._g_obs["queue_depth"].set(len(self._pending))
+            self._g_obs["throttle_occupancy"].set(self.throttle_occupancy())
 
     def stats(self) -> dict:
         return {
@@ -307,9 +312,7 @@ class Scrubber:
                     repair_s = sim.now - degraded_since
                     self.repair_times.append(repair_s)
                     if self.obs is not None:
-                        self.obs.metrics.histogram("scrub.repair_time_s").observe(
-                            repair_s
-                        )
+                        self._h_obs["repair_time_s"].observe(repair_s)
         self._pending.discard(key)
         self._gauges()
         if span is not None:

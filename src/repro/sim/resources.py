@@ -31,6 +31,12 @@ class Resource:
     Processes request a unit with ``grant = yield Acquire(res)`` and must
     call ``res.release(grant)`` when done.  Utilization statistics are
     tracked for reporting.
+
+    Under an active ``repro.obs`` bundle the resource also feeds
+    ``sim.resource.wait_s`` / ``service_s{resource=<name>}`` histograms.
+    Construction keeps only the registry handle; each histogram is
+    registered by the first grant (release), so a resource nobody ever
+    acquired leaves no series behind.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -47,14 +53,13 @@ class Resource:
         self.total_wait = 0.0
         self._enqueue_times: dict[int, float] = {}
         obs = getattr(sim, "obs", None)
-        if obs is not None:
-            label = name or "anon"
-            self._h_wait = obs.metrics.histogram("sim.resource.wait_s", resource=label)
-            self._h_service = obs.metrics.histogram(
-                "sim.resource.service_s", resource=label
-            )
-        else:
-            self._h_wait = self._h_service = None
+        self._metrics = obs.metrics if obs is not None else None
+        self._h_wait = self._h_service = None
+
+    def _histogram(self, what: str):
+        return self._metrics.histogram(
+            f"sim.resource.{what}", resource=self.name or "anon"
+        )
 
     # internal protocol used by Acquire dispatch
     def _enqueue(self, proc: Process) -> None:
@@ -70,7 +75,9 @@ class Resource:
         self.total_grants += 1
         wait = self.sim.now - self._enqueue_times.pop(id(proc), self.sim.now)
         self.total_wait += wait
-        if self._h_wait is not None:
+        if self._metrics is not None:
+            if self._h_wait is None:
+                self._h_wait = self._histogram("wait_s")
             self._h_wait.observe(wait)
         grant = Grant(self, self.sim.now)
         ev = Event(self.sim, name=f"grant:{self.name}")
@@ -83,7 +90,9 @@ class Resource:
         if grant.released:
             raise SimulationError("grant released twice")
         grant.released = True
-        if self._h_service is not None:
+        if self._metrics is not None:
+            if self._h_service is None:
+                self._h_service = self._histogram("service_s")
             self._h_service.observe(self.sim.now - grant.acquired_at)
         self._accumulate()
         self.in_use -= 1

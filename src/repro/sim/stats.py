@@ -16,6 +16,17 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro.obs.metrics import HeldSeries
+
+
+def _held(registry, kind: str, prefix: str, labels: Optional[dict]):
+    """The shim's registry mirror: one series per key, resolved on first use."""
+    if registry is None:
+        return None
+    resolve = getattr(registry, kind)
+    labels = dict(labels) if labels else {}
+    return HeldSeries(lambda key: resolve(prefix + key, **labels))
+
 
 class Counter:
     """Named monotone counters (events, bytes, retries ...).
@@ -23,19 +34,18 @@ class Counter:
     When ``registry`` (a :class:`repro.obs.MetricsRegistry`) is given,
     every ``add`` is mirrored to ``registry.counter(prefix + key,
     **labels)`` — so one component-local store can double as the obs
-    source of truth instead of double-booking into both.
+    source of truth instead of double-booking into both.  The series is
+    looked up on a key's first ``add`` and held, not once per ``add``.
     """
 
     def __init__(self, registry=None, prefix: str = "", labels: Optional[dict] = None) -> None:
         self._counts: dict[str, float] = {}
-        self._registry = registry
-        self._prefix = prefix
-        self._labels = dict(labels) if labels else {}
+        self._series = _held(registry, "counter", prefix, labels)
 
     def add(self, key: str, amount: float = 1.0) -> None:
         self._counts[key] = self._counts.get(key, 0.0) + amount
-        if self._registry is not None:
-            self._registry.counter(self._prefix + key, **self._labels).inc(amount)
+        if self._series is not None:
+            self._series[key].inc(amount)
 
     #: alias matching :class:`repro.obs.metrics.Counter`
     inc = add
@@ -61,14 +71,12 @@ class Gauge:
 
     def __init__(self, registry=None, prefix: str = "", labels: Optional[dict] = None) -> None:
         self._values: dict[str, float] = {}
-        self._registry = registry
-        self._prefix = prefix
-        self._labels = dict(labels) if labels else {}
+        self._series = _held(registry, "gauge", prefix, labels)
 
     def set(self, key: str, value: float) -> None:
         self._values[key] = float(value)
-        if self._registry is not None:
-            self._registry.gauge(self._prefix + key, **self._labels).set(value)
+        if self._series is not None:
+            self._series[key].set(value)
 
     def inc(self, key: str, amount: float = 1.0) -> None:
         self.set(key, self._values.get(key, 0.0) + amount)

@@ -104,6 +104,30 @@ def test_feedback_ewma_smooths_transient_bursts():
     assert seen[-1] < 0.2 * peak
 
 
+def test_feedback_sensing_registers_nothing():
+    """Reading is not recording: looking at a port must not create its
+    series (16 looked-at ports used to leave 64 zero series behind)."""
+    from repro.net.fabric import Link, Topology
+    from repro.obs.metrics import MetricsRegistry
+
+    reg = MetricsRegistry()
+    fb = FabricFeedback(reg, 16, uplink_names=[f"leaf{s % 2}.down" for s in range(16)])
+    fb.refresh()
+    assert fb.costs() == [0.0] * 16
+    assert len(reg) == 0
+
+    with obs_mod.use(obs_mod.Observability()) as o:
+        sim = Simulator()
+        Topology(sim, 16, Link(125e6), Link(125e6),
+                 fabric=FabricParams(name="idle", buffer_pkts=32))
+        before = len(o.metrics)
+        fb = FabricFeedback(o.metrics, 16, now_fn=lambda: sim.now)
+        assert fb.costs() == [0.0] * 16
+        assert len(o.metrics) == before
+        # an idle fabric has recorded nothing, so it has no series at all
+        assert not o.metrics.find("net.fabric") and not o.metrics.find("sim.resource")
+
+
 def test_feedback_without_registry_is_inert():
     fb = FabricFeedback(None, N)
     assert fb.costs() == [0.0] * N

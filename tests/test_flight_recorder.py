@@ -360,3 +360,152 @@ def test_report_json_single_and_diff_exit_codes(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["identical"] is False and out["n_diffs"] == 1
     assert out["diffs"][0]["path"] == "counters.x"
+
+
+# -- a recorder that stays on at storm scale (ISSUE 18) -----------------
+STORM_CLIENTS = 2000
+STORM_RPC_BYTES = 512
+
+
+def _fluid_storm(n_clients: int = STORM_CLIENTS, with_ctx_client=None):
+    """Hot-server RPC storm in fluid mode under a fresh bundle.
+
+    Every flow is anonymous, except that ``with_ctx_client``'s request
+    leg carries a request context.  Returns ``(bundle, topology, ctx)``.
+    """
+    from repro.net.fabric import FabricParams, Link, Topology
+
+    fabric = FabricParams(name="storm", buffer_pkts=64, min_rto_s=0.2, seed=7, mode="fluid")
+    with obs_mod.use(Observability(name="storm")) as o:
+        sim = Simulator()
+        topo = Topology(sim, n_clients, Link(112e6), Link(112e6), fabric=fabric)
+        ctx = None
+        if with_ctx_client is not None:
+            ctx = o.request_context(op="rpc", tenant="acme", origin="test")
+
+        def client(c):
+            mine = ctx if c == with_ctx_client else None
+            yield from topo.to_server(0, STORM_RPC_BYTES, src_client=c, ctx=mine)
+            yield Timeout(0.3e-3)
+            yield from topo.to_client(c, STORM_RPC_BYTES, src_server=0)
+
+        for c in range(n_clients):
+            sim.spawn(client(c))
+        sim.run()
+    return o, topo, ctx
+
+
+def _recorder_bytes(o) -> str:
+    buf = io.StringIO()
+    o.tracer.export_jsonl(buf)
+    return buf.getvalue() + json.dumps(o.metrics.snapshot(), sort_keys=True)
+
+
+def _assert_series_iff_recorded(o, ports) -> None:
+    """Per port: a registry series exists exactly when its always-on total
+    is non-zero, and then it equals that total."""
+    counters = o.metrics.snapshot()["counters"]
+    for port in ports:
+        totals = port.stats()
+        for what in ("drops_pkts", "timeouts", "retransmits", "bytes", "blackouts"):
+            key = f"net.fabric.{what}{{port={port.name}}}"
+            assert (key in counters) == (totals[what] != 0), key
+            assert counters.get(key, 0) == totals[what], key
+
+
+def test_storm_recording_cost_follows_what_happened():
+    """Anonymous flows share cohort spans and idle ports register nothing:
+    the parent recorded 4,000 spans and >= 18,000 series for this run."""
+    o, topo, _ = _fluid_storm()
+    n = STORM_CLIENTS
+    assert len(o.metrics) <= n + 16
+    spans = o.tracer.spans
+    assert len(spans) <= 100
+    assert all(s.name == "fabric.xfer" and s.finished for s in spans)
+    assert sum(s.attrs["n_flows"] for s in spans) == 2 * n
+    assert sum(s.attrs["nbytes"] for s in spans) == 2 * n * STORM_RPC_BYTES
+    xfer_s = o.metrics.snapshot()["histograms"]["net.fabric.xfer_s{hops=1}"]
+    assert xfer_s["count"] == 2 * n
+    # a cohort ends with its last member, so the slowest flow of the run
+    # is the end of the longest cohort
+    assert xfer_s["max"] == pytest.approx(max(s.duration for s in spans))
+
+
+def test_series_exist_iff_recorded_on_both_engines():
+    from repro.net.fabric import FabricParams, LeafSpineParams
+    from repro.pfs.params import PFSParams
+    from repro.pfs.system import SimPFS
+
+    o, topo, _ = _fluid_storm()
+    ports = topo.server_ports + [topo.client_port(c) for c in range(STORM_CLIENTS)]
+    _assert_series_iff_recorded(o, ports)
+    assert topo.server_ports[0].total_drops_pkts > 0     # the storm did overflow
+    assert topo.server_ports[1].total_bytes == 0         # and most ports stayed idle
+
+    fabric = FabricParams(
+        name="ckpt", buffer_pkts=8, min_rto_s=1e-3, seed=5,
+        leafspine=LeafSpineParams(n_racks=2, oversubscription=4.0),
+    )
+    with obs_mod.use(Observability(name="ckpt")) as o:
+        sim = Simulator()
+        pfs = SimPFS(sim, PFSParams(n_servers=4, stripe_unit=64 * 1024, fabric=fabric))
+
+        def writer(c):
+            yield from pfs.op_create(c, f"/ckpt/{c}")
+            yield from pfs.op_write(c, f"/ckpt/{c}", 0, 512 * 1024)
+
+        for c in range(8):
+            sim.spawn(writer(c))
+        sim.run()
+    topo = pfs.topology
+    ports = topo.server_ports + topo.leaf_up + topo.leaf_down
+    assert sum(p.total_drops_pkts for p in ports) > 0
+    _assert_series_iff_recorded(o, ports)
+    # the per-resource histograms follow the same rule: the ideal client
+    # NICs served transfers, the never-used client switch ports did not
+    hists = o.metrics.snapshot()["histograms"]
+    assert "sim.resource.wait_s{resource=client0.nic}" in hists
+    assert all(h["count"] > 0 for h in hists.values())
+
+
+def test_request_scoped_flow_keeps_its_own_span_inside_a_burst():
+    """One flow with a ctx among 2,000 anonymous same-instant flows."""
+    o, topo, ctx = _fluid_storm(with_ctx_client=5)
+    own = [s for s in o.tracer.spans if "rid" in s.attrs]
+    assert len(own) == 1
+    span = own[0]
+    assert span.attrs == {"port": "server0", "nbytes": STORM_RPC_BYTES, "hops": 1,
+                          "rid": ctx.request_id, "tenant": "acme"}
+    assert request_spans(o.tracer, ctx.request_id) == [span]
+    cohorts = [s for s in o.tracer.spans if "n_flows" in s.attrs]
+    assert sum(s.attrs["n_flows"] for s in cohorts) == 2 * STORM_CLIENTS - 1
+    # the burst it entered with is one cohort, starting at the same instant
+    burst = next(s for s in cohorts if s.start == span.start)
+    assert burst.attrs["n_flows"] == STORM_CLIENTS - 1
+
+
+def test_request_scoped_traces_equal_the_parents():
+    """Every flow of a SimPFS run is request-scoped, so its trace is the
+    pre-cohort one byte for byte (digest taken at the parent commit)."""
+    import hashlib
+
+    trace, _ = _traced_run()
+    assert hashlib.sha256(trace.encode()).hexdigest() == (
+        "d9815617acb59a3d61f09c340c5e47fffa09c886e0f030a3228dff82a9dc4bda"
+    )
+    assert '"n_flows"' not in trace
+
+
+def test_storm_recordings_are_byte_identical_across_runs():
+    a, b = _recorder_bytes(_fluid_storm()[0]), _recorder_bytes(_fluid_storm()[0])
+    assert a == b and a
+
+    from repro.giga.service import ServiceParams, run_storm
+
+    def giga() -> str:
+        with obs_mod.use(Observability(name="giga")) as o:
+            run_storm(4, 8, 40, params=ServiceParams(split_threshold=16), seed=3)
+        return _recorder_bytes(o)
+
+    a, b = giga(), giga()
+    assert a == b and a

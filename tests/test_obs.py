@@ -55,6 +55,21 @@ def test_registry_rejects_type_conflicts():
         reg.gauge("x")
 
 
+def test_registry_value_reads_without_registering():
+    reg = MetricsRegistry()
+    assert reg.value("ops", kind="read") == 0.0
+    assert reg.value("ops", default=-1.0, kind="read") == -1.0
+    assert len(reg) == 0  # looking registered nothing
+    reg.counter("ops", kind="read").inc(3)
+    reg.gauge("depth").set(7)
+    assert reg.value("ops", kind="read") == 3
+    assert reg.value("depth") == 7
+    reg.histogram("lat")
+    with pytest.raises(TypeError):
+        reg.value("lat")
+    assert len(reg) == 3
+
+
 def test_registry_snapshot_is_sorted_and_deterministic():
     def build(order):
         reg = MetricsRegistry()
@@ -280,6 +295,32 @@ def test_stats_shim_mirrors_into_registry():
     g.dec("depth")
     assert g["depth"] == 3
     assert reg.gauge("legacy.depth").value == 3
+
+
+def test_stats_shim_and_request_minting_hold_their_series(monkeypatch):
+    """One registry lookup per distinct key, not one per increment."""
+    from repro.sim.stats import Counter as LegacyCounter, Gauge as LegacyGauge
+
+    lookups = []
+    real_get = MetricsRegistry._get
+
+    def counting_get(self, cls, name, labels, **kwargs):
+        lookups.append((name, tuple(sorted(labels.items()))))
+        return real_get(self, cls, name, labels, **kwargs)
+
+    monkeypatch.setattr(MetricsRegistry, "_get", counting_get)
+    o = obs.Observability()
+    c = LegacyCounter(registry=o.metrics, prefix="legacy.", labels={"server": 3})
+    g = LegacyGauge(registry=o.metrics, prefix="legacy.")
+    keys = ("creates", "lookups", "redirects")
+    for i in range(10_000):
+        c.add(keys[i % 3])
+        g.set("depth", i)
+        o.request_context(tenant="a" if i % 2 else "b")
+    assert len(lookups) == len(set(lookups)) == 3 + 1 + 2
+    assert o.metrics.value("legacy.creates", server=3) == c["creates"] == 3334
+    assert o.metrics.value("legacy.depth") == 9999
+    assert o.metrics.value("obs.requests", tenant="a") == 5000
 
 
 def test_observability_off_means_no_metrics():

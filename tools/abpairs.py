@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Alternating parent/change runs of one benchmark workload.
+"""Alternating parent/change runs of the benchmark workloads.
 
 Runs ``python3 perf/run.py --workload W --seed N --seconds S --trace 0`` in
 two checkouts, ``--pairs`` times each, alternating which side goes first,
@@ -11,8 +11,10 @@ tenths of the pairs and the medians differ by more than the distance
 between the parent's own quartiles.  Every run made is printed.
 
 Usage: ``python tools/abpairs.py PARENT_DIR CHANGE_DIR --workload real_io
-[--pairs 10] [--seconds 20] [--seed 0]``.  The exit status reports only
-whether every run completed with correct output; no timing is gated.
+[--pairs 10] [--seconds 20] [--seed 0]``.  ``--workload`` also takes a comma
+list or ``all``: the workloads run one after the other, one table each.  The
+exit status reports only whether every run of every workload completed with
+correct output; no timing is gated.
 """
 
 import argparse
@@ -73,36 +75,58 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
             f"bound {metric['bound']:.0%} {'held' if within else 'BROKEN'}  {rule}")
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent_dir", type=Path)
-    ap.add_argument("change_dir", type=Path)
-    ap.add_argument("--workload", required=True,
-                    choices=[w["name"] for w in BENCHMARK["workloads"]])
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+def workload_list(arg: str) -> list[str]:
+    """``--workload``: one name, a comma list, or ``all``."""
+    known = [w["name"] for w in BENCHMARK["workloads"]]
+    names = known if arg == "all" else arg.split(",")
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {', '.join(unknown)!r}; choose from {', '.join(known)} or all"
+        )
+    return names
 
+
+def run_pairs(workload: str, sides: dict, pairs: int, seconds: float, seed: int) -> bool:
+    """All pairs of one workload and its table; False if a run went wrong."""
     metrics = BENCHMARK["end_to_end"]
-    sides = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
     runs = {side: [] for side in sides}
-    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs x {args.seconds:g} s")
+    print(f"{workload} seed {seed}: {pairs} pairs x {seconds:g} s")
     print("pair side    " + "  ".join(f"{m['name']:>18}" for m in metrics))
-    for pair in range(args.pairs):
+    for pair in range(pairs):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
             try:
-                got = run_once(sides[side], args.workload, args.seed, args.seconds)
+                got = run_once(sides[side], workload, seed, seconds)
             except (RuntimeError, ValueError, KeyError) as exc:
-                print(f"pair {pair} {side}: {exc}", file=sys.stderr)
-                return 1
+                print(f"{workload} pair {pair} {side}: {exc}", file=sys.stderr)
+                return False
             runs[side].append(got)
             print(f"{pair:>4} {side:<7} " + "  ".join(f"{got[m['name']]:>18,.4f}" for m in metrics),
                   flush=True)
     print("\nmetric              better  parent median [q1, q3]  ->  change median [q1, q3]")
     for m in metrics:
         print(verdict(m, *([r[m["name"]] for r in runs[side]] for side in ("parent", "change"))))
-    return 0
+    return True
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_dir", type=Path)
+    ap.add_argument("change_dir", type=Path)
+    ap.add_argument("--workload", required=True, type=workload_list,
+                    help="one workload, a comma list, or 'all'")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    sides = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
+    ok = True
+    for i, workload in enumerate(args.workload):
+        if i:
+            print()
+        ok &= run_pairs(workload, sides, args.pairs, args.seconds, args.seed)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
