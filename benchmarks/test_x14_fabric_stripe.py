@@ -16,7 +16,7 @@ diagnosed: drops spike at the client port exactly at the cliff.
 """
 
 from benchmarks.conftest import print_table
-from repro.net.fabric import FabricParams
+from repro.net.params import FabricParams
 from repro.pfs.params import PFSParams
 from repro.pfs.system import SimPFS
 from repro.sim import Simulator

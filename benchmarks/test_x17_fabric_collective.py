@@ -29,7 +29,7 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.collective import CollectiveConfig, run_collective_write
-from repro.net.fabric import FabricParams
+from repro.net.params import FabricParams
 from repro.pfs.params import GPFS_LIKE, PFSParams
 
 N_RANKS = 32

@@ -27,7 +27,7 @@ the spine at all.
 """
 
 from benchmarks.conftest import print_table
-from repro.net.fabric import FabricParams, LeafSpineParams, Link, Topology
+from repro.net import FabricParams, LeafSpineParams, Link, Topology
 from repro.sim import Simulator
 
 N_RACKS = 2

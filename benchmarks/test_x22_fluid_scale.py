@@ -39,7 +39,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.net.fabric import FabricParams, Link, Topology
+from repro.net import FabricParams, Link, Topology
 from repro.sim import Simulator, Timeout
 
 FAB = FabricParams(name="storm", buffer_pkts=64, min_rto_s=0.2, seed=7)

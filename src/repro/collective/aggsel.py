@@ -8,7 +8,7 @@ when such a synchronized fan-in exceeds a port's output buffer — full-
 window losses idle the flow for a (min-)RTO while the link sits dark.
 
 This module chooses the aggregator **count** and **placement** against
-:class:`repro.net.fabric.FabricParams` instead of from the file layout
+:class:`repro.net.params.FabricParams` instead of from the file layout
 alone:
 
 * **count** — start from one aggregator per storage server (the most
@@ -22,10 +22,10 @@ alone:
   one aggregator (fan-in 1), and domain boundaries are stripe-aligned so
   no lock block is ever shared between aggregators;
 * **fan-in bound** — the phase-1 shuffle is throttled to
-  :meth:`repro.net.fabric.SwitchPort.safe_fanin` concurrent senders per
+  :meth:`repro.net.port.SwitchPort.safe_fanin` concurrent senders per
   aggregator port: every admitted flow's initial window fits the port
   buffer simultaneously, so the shuffle cannot trigger a full-window
-  loss (the RTO path).  An optional :class:`repro.net.fabric.
+  loss (the RTO path).  An optional :class:`repro.net.feedback.
   FabricFeedback` cost discounts the headroom of a port that is already
   carrying background traffic.
 
@@ -39,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.fabric import FabricParams, Link, SwitchPort
+from repro.net.params import FabricParams, Link
+from repro.net.port import SwitchPort
 from repro.pfs.params import PFSParams
 from repro.workloads.patterns import Pattern, overlap_bytes
 
@@ -221,9 +222,9 @@ def phase1_fanin_cap(
     """The per-aggregator-port shuffle fan-in bound for this deployment.
 
     Builds the aggregator's client-side port geometry (client link +
-    fabric) and delegates to :meth:`repro.net.fabric.SwitchPort.
+    fabric) and delegates to :meth:`repro.net.port.SwitchPort.
     safe_fanin`; ``cost`` is a congestion discount, typically the
-    relevant :class:`repro.net.fabric.FabricFeedback` EWMA cost.
+    relevant :class:`repro.net.feedback.FabricFeedback` EWMA cost.
     """
     fab = fabric if fabric is not None else params.fabric
     port = SwitchPort(Link(params.client_nic_Bps), fab)
@@ -248,13 +249,13 @@ def select_aggregators(
     n_ranks: application processes feeding the shuffle.
     params: the target :class:`~repro.pfs.params.PFSParams` (supplies
         ``n_servers``, ``stripe_unit``, ``client_nic_Bps`` and the
-        :class:`~repro.net.fabric.FabricParams`).
+        :class:`~repro.net.params.FabricParams`).
     pattern: optional per-rank write pattern; when given, the count
         search checks *actual* shuffle-slice sizes instead of the even
         estimate.
     requested: the caller's aggregator-count hint (recorded in the
         plan; the fabric math may override it).
-    feedback: optional :class:`~repro.net.fabric.FabricFeedback`; its
+    feedback: optional :class:`~repro.net.feedback.FabricFeedback`; its
         maximum current port cost discounts the phase-1 fan-in bound
         (a switch already hot from background traffic has less buffer
         headroom to offer a synchronized shuffle).

@@ -9,7 +9,7 @@ Three file-domain schemes share one engine (see docs/collective.md):
   (the report's ≥24% win), but the network stays invisible;
 * ``"fabric-aware"`` — :mod:`repro.collective.aggsel` chooses the
   aggregator count and server-column placement against
-  :class:`repro.net.fabric.FabricParams`, and the phase-1 shuffle is
+  :class:`repro.net.params.FabricParams`, and the phase-1 shuffle is
   throttled to the per-port safe fan-in so it cannot trigger the
   incast RTO path.
 
@@ -158,7 +158,7 @@ def run_collective_write(
     boundaries additionally cause lock migrations between neighbouring
     aggregators and split server requests.
 
-    ``feedback`` (a :class:`repro.net.fabric.FabricFeedback`) lets the
+    ``feedback`` (a :class:`repro.net.feedback.FabricFeedback`) lets the
     fabric-aware selection discount port headroom by measured
     congestion; the other schemes ignore it.
 

@@ -5,7 +5,7 @@ chunk's bytes live (:meth:`replicas_of`) and what a read of it entails
 (:meth:`read_plan` — which server streams, how much software overhead,
 whether one disk bounds the stream).  The transfer itself is priced by
 the shared fabric (:mod:`repro.net.fabric`): ideal-fabric reads use
-:func:`repro.net.fabric.fluid_shared_Bps` / :class:`repro.net.fabric.Link`
+:func:`repro.net.params.fluid_shared_Bps` / :class:`repro.net.params.Link`
 arithmetic (bit-identical with the historical inline math), finite-buffer
 fabrics route the bytes through :class:`repro.net.fabric.Topology`.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.fabric import FabricParams, IDEAL_FABRIC, Link, fluid_shared_Bps
+from repro.net.params import FabricParams, IDEAL_FABRIC, Link, fluid_shared_Bps
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class ClusterSpec:
     """Compute/storage co-located cluster.
 
     ``fabric`` selects the network model every transfer rides
-    (:data:`repro.net.fabric.IDEAL_FABRIC` keeps the historical
+    (:data:`repro.net.params.IDEAL_FABRIC` keeps the historical
     analytic arithmetic; finite ``buffer_pkts`` and/or ``leafspine``
     make remote reads real windowed flows with congestion and drops).
     """

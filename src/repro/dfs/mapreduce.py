@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.net.fabric import Link, Topology
+from repro.net.fabric import Topology
+from repro.net.params import Link
 from repro.sim import Simulator, Timeout
 
 

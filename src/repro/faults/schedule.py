@@ -29,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.net.params import LeafSpineParams
 from repro.sim import SimulationError, Simulator, Timeout
 
 #: Event kinds the injector understands.
@@ -144,8 +145,8 @@ class FaultSchedule:
         each suffering a ``disk_loss``, so the burst destroys shares
         rather than merely hiding them).  The rack is drawn from the
         seeded RNG unless ``racks`` pins an explicit per-burst rack
-        sequence (cycled); rack membership matches
-        :meth:`repro.net.fabric.Topology.server_rack`.  Blackout/restore
+        sequence (cycled); rack membership is
+        :meth:`repro.net.params.LeafSpineParams.server_rack`.  Blackout/restore
         pairing is preserved by construction, so :meth:`_validate` holds.
         """
         if kind not in ("server_crash", "app_interrupt", "domain_burst"):
@@ -165,8 +166,9 @@ class FaultSchedule:
                 raise ValueError("domain_burst schedules need burst_servers >= 1")
             black_s = blackout_s if blackout_s is not None else 2.0
             down_s = downtime_s if downtime_s is not None else black_s
+            shape = LeafSpineParams(n_racks=n_racks)
             members_of = [
-                [s for s in range(n_servers) if s * n_racks // n_servers == rack]
+                [s for s in range(n_servers) if shape.server_rack(s, n_servers) == rack]
                 for rack in range(n_racks)
             ]
             for i, t in enumerate(times):

@@ -50,7 +50,8 @@ from typing import Iterable, Optional
 from repro.faults.errors import RetriesExhausted
 from repro.faults.server import FaultableServer
 from repro.giga.mapping import GigaBitmap, hash_name
-from repro.net.fabric import IDEAL_FABRIC, FabricParams, Link, Topology
+from repro.net.fabric import Topology
+from repro.net.params import IDEAL_FABRIC, FabricParams, Link
 from repro.sim import Acquire, Resource, Simulator, Timeout
 from repro.sim.stats import Counter
 
@@ -67,7 +68,7 @@ class ServiceParams:
     ``retry_backoff_s`` paces a client that keeps hitting a dead server
     while detection is still pending.  ``fabric`` defaults to the ideal
     fabric (flat RPC arithmetic); any finite-buffer (or leaf/spine)
-    :class:`~repro.net.fabric.FabricParams` routes RPC payloads of
+    :class:`~repro.net.params.FabricParams` routes RPC payloads of
     ``rpc_bytes`` through real switch ports instead.
     """
 

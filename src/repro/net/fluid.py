@@ -5,9 +5,9 @@ spends ~6 simulator events per congestion-window round per flow; a
 million-client storm is simply not reachable that way.  This module is
 the coarse companion mode (``FabricParams.mode="fluid"``): flows are
 *rates*, not packets.  Each active flow holds a share of every
-:class:`~repro.net.fabric.SwitchPort` on its hop path, shares are the
+:class:`~repro.net.port.SwitchPort` on its hop path, shares are the
 max-min fair allocation (progressive filling — the multi-bottleneck
-generalization of :func:`repro.net.fabric.fluid_shared_Bps`), and the
+generalization of :func:`repro.net.params.fluid_shared_Bps`), and the
 simulator only wakes the engine when the allocation can change:
 
 * an **arrival batch** — every flow that starts at the same simulated
@@ -577,7 +577,7 @@ class FluidEngine:
                 cap_pkts=port.round_capacity_pkts,
                 pkt_time_s=port.pkt_time_s,
                 rtt_s=fab.rtt_s,
-                rto_s=max(fab.min_rto_s, 2.0 * fab.rtt_s),
+                rto_s=fab.rto_s(),  # the probe is deterministic: unjittered
             )
             # A cohort the probe found clean (no drops, no RTOs) stays in
             # *lockstep* in exact mode: every member idles through each

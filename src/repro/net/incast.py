@@ -11,12 +11,13 @@ the minimum RTO to ~1 ms (microsecond-granularity timers) restores
 goodput; at thousands of servers the retransmissions themselves
 resynchronize, so the RTO must also be *randomized* (Fig 9 right).
 
-This module is now a thin configuration of the shared network fabric:
-the round-based engine lives in :func:`repro.net.fabric.synchronized_fanin`
-(one round = one RTT, uniform random drops past the port's service+buffer
-capacity, full-window loss → minimum RTO, partial loss → fast retransmit),
-and :class:`IncastConfig` just maps the published testbeds onto a
-:class:`~repro.net.fabric.Link` + :class:`~repro.net.fabric.FabricParams`
+This module is a thin configuration of the shared network fabric:
+:func:`synchronized_fanin` is the round-based engine (one round = one
+RTT, uniform random drops past the port's service+buffer capacity,
+full-window loss → minimum RTO, partial loss → fast retransmit) over a
+simulator-less :class:`~repro.net.port.SwitchPort`, and
+:class:`IncastConfig` just maps the published testbeds onto a
+:class:`~repro.net.params.Link` + :class:`~repro.net.params.FabricParams`
 pair.  All randomness flows through one explicit
 ``numpy.random.Generator`` seeded from the config, so two same-seed runs
 produce identical :class:`IncastResult`\\ s.
@@ -29,8 +30,121 @@ from typing import Optional
 
 import numpy as np
 
-from repro.net.fabric import FabricParams, Link, SwitchPort, synchronized_fanin
+from repro.net.params import FabricParams, Link
+from repro.net.port import SwitchPort
 from repro.obs import current as _current_obs
+
+
+@dataclass
+class FaninResult:
+    """Aggregate outcome of a synchronized fan-in run."""
+
+    n_flows: int
+    total_bytes: int
+    elapsed_s: float
+    timeouts: int
+    repeat_timeouts: int   # timeouts of flows that already timed out within
+                           # the same block — retransmission-storm collisions,
+                           # the thing RTO jitter removes
+    n_blocks: int
+
+    @property
+    def goodput_Bps(self) -> float:
+        return self.total_bytes / self.elapsed_s if self.elapsed_s > 0 else 0.0
+
+    @property
+    def block_time_s(self) -> float:
+        return self.elapsed_s / self.n_blocks if self.n_blocks else 0.0
+
+
+def synchronized_fanin(
+    link: Link,
+    fabric: FabricParams,
+    n_flows: int,
+    sru_bytes: int,
+    rng: np.random.Generator,
+    n_blocks: int = 20,
+    port: Optional[SwitchPort] = None,
+) -> FaninResult:
+    """Fetch ``n_blocks`` striped blocks from ``n_flows`` synchronized senders.
+
+    The round-based model (one round = one RTT) from the incast study:
+    each active flow injects its window; injected packets beyond the
+    port's service+buffer capacity for the round are dropped uniformly
+    at random; full-window loss → timeout with the configured minimum
+    RTO (optionally jittered); partial loss → window halves (fast
+    retransmit).  Coarse, but it contains exactly the three mechanisms
+    the published fix manipulates.
+
+    ``port`` (optional, simulator-less) receives per-port drop/timeout
+    accounting so the run shows up in ``repro.obs`` job reports.
+    """
+    if n_flows < 1:
+        raise ValueError("need at least one flow")
+    if fabric.buffer_pkts is None:
+        raise ValueError("synchronized_fanin needs a finite buffer_pkts")
+    if port is None:
+        port = SwitchPort(link, fabric, name=fabric.name)
+    pkt_time = port.pkt_time_s
+    sru_pkts = max(1, sru_bytes // fabric.pkt_bytes)
+    cap = port.round_capacity_pkts  # deliverable per round
+    total_bytes = 0
+    t = 0.0
+    timeouts = 0
+    repeat_timeouts = 0
+    for _ in range(n_blocks):
+        remaining = np.full(n_flows, sru_pkts, dtype=np.int64)
+        cwnd = np.full(n_flows, fabric.init_cwnd, dtype=np.int64)
+        wake = np.zeros(n_flows)  # timeout expiry per flow
+        timed_out_before = np.zeros(n_flows, dtype=bool)
+        while remaining.any():
+            active = (remaining > 0) & (wake <= t)
+            if not active.any():
+                t = wake[remaining > 0].min()
+                continue
+            send = np.where(active, np.minimum(cwnd, remaining), 0)
+            injected = int(send.sum())
+            if injected <= cap:
+                remaining -= send
+                cwnd[active] = np.minimum(cwnd[active] + 1, fabric.max_cwnd)
+                t += max(fabric.rtt_s, injected * pkt_time)
+                continue
+            # overflow: drop (injected - cap) packets uniformly at random
+            drops = injected - cap
+            flat = np.repeat(np.arange(n_flows), send)
+            dropped_idx = rng.choice(injected, size=drops, replace=False)
+            lost = np.bincount(flat[dropped_idx], minlength=n_flows)
+            delivered = send - lost
+            remaining -= delivered
+            port.record_drops(drops)
+            full_loss = active & (send > 0) & (delivered == 0) & (remaining > 0)
+            partial = active & (delivered > 0)
+            cwnd[partial] = np.maximum(cwnd[partial] // 2, 1)
+            port.record_retransmit(int(partial.sum()))
+            n_to = int(full_loss.sum())
+            if n_to:
+                timeouts += n_to
+                repeat_timeouts += int((full_loss & timed_out_before).sum())
+                timed_out_before |= full_loss
+                base = fabric.rto_s()  # unjittered; jitter is per flow below
+                if fabric.rto_jitter:
+                    rto = base * (0.5 + rng.random(n_to))
+                else:
+                    rto = np.full(n_to, base)
+                wake[full_loss] = t + rto
+                cwnd[full_loss] = fabric.init_cwnd
+                port.record_timeouts(n_to)
+            t += max(fabric.rtt_s, cap * pkt_time)
+        total_bytes += n_flows * sru_pkts * fabric.pkt_bytes
+    port.record_bytes(total_bytes)
+    return FaninResult(
+        n_flows=n_flows,
+        total_bytes=total_bytes,
+        elapsed_s=t,
+        timeouts=timeouts,
+        repeat_timeouts=repeat_timeouts,
+        n_blocks=n_blocks,
+    )
 
 
 @dataclass(frozen=True)
@@ -48,14 +162,6 @@ class IncastConfig:
     init_cwnd: int = 2
     max_cwnd: int = 64
     seed: int = 42                    # drop sampling + RTO jitter
-
-    @property
-    def pkt_time_s(self) -> float:
-        return self.pkt_bytes / self.link_Bps
-
-    @property
-    def pkts_per_rtt(self) -> int:
-        return max(1, int(self.rtt_s / self.pkt_time_s))
 
     # -- the fabric view ---------------------------------------------
     def as_link(self) -> Link:
@@ -120,13 +226,11 @@ def simulate_incast(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     obs = _current_obs()
-    port = SwitchPort(
-        cfg.as_link(), cfg.as_fabric(), obs=obs,
-        name=f"incast.{cfg.name}.{n_servers}",
-    )
+    link, fabric = cfg.as_link(), cfg.as_fabric()
+    port = SwitchPort(link, fabric, obs=obs, name=f"incast.{cfg.name}.{n_servers}")
     fanin = synchronized_fanin(
-        cfg.as_link(),
-        cfg.as_fabric(),
+        link,
+        fabric,
         n_flows=n_servers,
         sru_bytes=cfg.sru_bytes,
         rng=rng,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.devices.disk import DiskParams, SEVEN_K2_SATA
 from repro.faults.resilience import RedundancySpec, ResilienceParams
-from repro.net.fabric import FabricParams, IDEAL_FABRIC
+from repro.net.params import FabricParams, IDEAL_FABRIC
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,13 @@ class PFSParams:
     disk: per-server :class:`~repro.devices.disk.DiskParams` (default
         :data:`~repro.devices.disk.SEVEN_K2_SATA`, a 7200-rpm SATA
         drive).
-    fabric: network-fabric congestion knobs (:class:`repro.net.fabric.
-        FabricParams`).  The default :data:`~repro.net.fabric.IDEAL_FABRIC`
+    fabric: network-fabric congestion knobs (:class:`repro.net.params.
+        FabricParams`).  The default :data:`~repro.net.params.IDEAL_FABRIC`
         (infinite switch buffers, no contention) reproduces plain
         latency+bandwidth arithmetic; a finite ``buffer_pkts`` routes every
         request/reply through shared switch output ports with incast-style
         drop/timeout/window dynamics.  Setting ``fabric.leafspine``
-        (:class:`repro.net.fabric.LeafSpineParams`) additionally places
+        (:class:`repro.net.params.LeafSpineParams`) additionally places
         clients and servers in racks behind leaf switches joined by
         oversubscribed spine uplinks, so cross-rack requests traverse a
         multi-hop path of finite-buffer ports (docs/network.md) — the

@@ -18,7 +18,8 @@ from repro.erasure.reedsolomon import ReedSolomon
 from repro.faults.errors import FaultError, OpTimeout, RetriesExhausted, ServerDown
 from repro.faults.resilience import RedundancySpec, ResilienceParams
 from repro.faults.server import FaultableServer
-from repro.net.fabric import Link, Topology
+from repro.net.fabric import Topology
+from repro.net.params import Link
 from repro.obs.metrics import HeldSeries
 from repro.pfs.layout import Extent, PlacedLayout, StripeLayout
 from repro.placement.congestion import build_placement
@@ -230,13 +231,7 @@ class SimPFS:
         # makespans in tests/test_fabric_equivalence.py pin this)
         self.placement: Optional[PlacedLayout] = None
         if params.placement is not None:
-            strategy = build_placement(
-                params.placement,
-                params.n_servers,
-                metrics=sim.obs.metrics if sim.obs is not None else None,
-                now_fn=lambda: sim.now,
-                fabric=params.fabric,
-            )
+            strategy = build_placement(params.placement, self.topology)
             self.placement = PlacedLayout(strategy, params.stripe_unit)
         # metadata service: one or several independent servers; paths hash
         # across them (PLFS follow-on #1 / GIGA+-style distribution)

@@ -8,8 +8,8 @@ congestion collapse at hot switch ports.  This module closes the loop:
 * :class:`CongestionAwarePlacement` wraps any
   :class:`~repro.placement.strategies.PlacementStrategy` and re-weights
   its server choice with live per-port costs from a
-  :class:`~repro.net.fabric.FabricFeedback` (EWMA-smoothed occupancy +
-  drop rates read from the obs registry);
+  :class:`~repro.net.feedback.FabricFeedback` (EWMA-smoothed occupancy +
+  drop rates read off the switch ports);
 * :func:`build_placement` resolves the ``PFSParams.placement`` knob —
   a strategy instance, a spec string (``"round-robin"``, ``"crush"``,
   ``"raid-group-4"``, ``"congestion"``, ``"congestion:crush"`` …), or a
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.net.fabric import FabricFeedback
+from repro.net.feedback import FabricFeedback
 from repro.placement.strategies import (
     CrushLikePlacement,
     PlacementStrategy,
@@ -126,25 +126,19 @@ def _build_base(spec: str, n_servers: int) -> PlacementStrategy:
     raise ValueError(f"unknown placement spec {spec!r}")
 
 
-def build_placement(
-    spec,
-    n_servers: int,
-    *,
-    metrics=None,
-    now_fn=None,
-    fabric=None,
-    **feedback_knobs,
-) -> PlacementStrategy:
+def build_placement(spec, topology) -> PlacementStrategy:
     """Resolve the ``PFSParams.placement`` knob into a bound strategy.
 
     ``spec`` may be a :class:`PlacementStrategy` (used as-is), a factory
-    callable ``f(n_servers, metrics=…, now_fn=…, fabric=…)``, or a spec
-    string.  ``"congestion"`` (optionally ``"congestion:<base>"``) wraps
-    the base in :class:`CongestionAwarePlacement` with a
-    :class:`~repro.net.fabric.FabricFeedback` bound to ``metrics`` /
-    ``now_fn``; with ``metrics=None`` (no active obs bundle) the wrapper
-    carries no feedback and behaves exactly like its base.
+    callable ``f(topology)``, or a spec string.  ``"congestion"``
+    (optionally ``"congestion:<base>"``) wraps the base in
+    :class:`CongestionAwarePlacement` sensing ``topology``'s own ports
+    (:meth:`repro.net.feedback.FabricFeedback.for_topology`): on a
+    leaf/spine fabric each server's cost includes its rack downlink, so
+    a hot uplink steers new stripes toward other racks, not just other
+    edge ports.
     """
+    n_servers = topology.n_servers
     if isinstance(spec, PlacementStrategy):
         if spec.n_servers != n_servers:
             raise ValueError(
@@ -153,32 +147,10 @@ def build_placement(
             )
         return spec
     if callable(spec):
-        return spec(n_servers, metrics=metrics, now_fn=now_fn, fabric=fabric)
+        return spec(topology)
     if not isinstance(spec, str):
         raise TypeError(f"placement spec must be a strategy, callable, or str, got {type(spec)}")
     if spec == "congestion" or spec.startswith("congestion:"):
-        base_spec = spec.partition(":")[2] or "round-robin"
-        base = _build_base(base_spec, n_servers)
-        feedback = None
-        if metrics is not None:
-            buffer_pkts = getattr(fabric, "buffer_pkts", None)
-            # on a leaf/spine fabric each server's cost also includes its
-            # rack downlink, so a hot oversubscribed uplink steers new
-            # stripes toward other racks (not just other edge ports)
-            uplink_names = None
-            leafspine = getattr(fabric, "leafspine", None)
-            if leafspine is not None:
-                uplink_names = [
-                    f"leaf{s * leafspine.n_racks // n_servers}.down"
-                    for s in range(n_servers)
-                ]
-            feedback = FabricFeedback(
-                metrics,
-                n_servers,
-                now_fn=now_fn,
-                buffer_norm=float(buffer_pkts) if buffer_pkts else 64.0,
-                uplink_names=uplink_names,
-                **feedback_knobs,
-            )
-        return CongestionAwarePlacement(base, feedback=feedback)
+        base = _build_base(spec.partition(":")[2] or "round-robin", n_servers)
+        return CongestionAwarePlacement(base, feedback=FabricFeedback.for_topology(topology))
     return _build_base(spec, n_servers)

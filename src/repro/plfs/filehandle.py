@@ -20,7 +20,7 @@ from typing import BinaryIO, Optional
 
 from repro.obs import current as _current_obs
 from repro.plfs.container import Container
-from repro.plfs.index import GlobalIndex, pack_entry
+from repro.plfs.index import RECORD_SIZE, GlobalIndex, pack_entry
 
 
 class WriteClock:
@@ -73,7 +73,7 @@ class PlfsWriteHandle:
         self._data: BinaryIO = open(paths.data_path, "ab")
         self._index: BinaryIO = open(paths.index_path, "ab")
         self._index_buf = bytearray()
-        self._index_buffer_bytes = index_buffer_records * 40
+        self._index_buffer_bytes = index_buffer_records * RECORD_SIZE
         self._data_buf = bytearray()
         self._data_buffer_bytes = data_buffer_bytes
         self._physical = self._data.tell()

@@ -24,12 +24,14 @@ from typing import Optional, Sequence
 
 from repro.faults.resilience import RedundancySpec, ResilienceParams
 from repro.faults.schedule import FaultSchedule
-from repro.net.fabric import FabricParams
+from repro.net.params import FabricParams
 from repro.pfs.params import PFSParams
 from repro.pfs.system import SimPFS
 from repro.sim import Simulator
 
-#: bytes per PLFS index record (matches repro.plfs.index.RECORD_SIZE)
+#: bytes per *simulated* PLFS index record.  This does not match the real
+#: record (repro.plfs.index.RECORD_SIZE: ``<qqqqd`` = 40 bytes); the value
+#: is held by the Fig-8 ``==`` goldens until ROADMAP item 6 reconciles it.
 INDEX_RECORD_BYTES = 32
 
 #: A write pattern: pattern[rank] = [(logical_offset, nbytes), ...]

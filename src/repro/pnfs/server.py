@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.fabric import FabricParams, IDEAL_FABRIC, Link, Topology
+from repro.net.fabric import Topology
+from repro.net.params import FabricParams, IDEAL_FABRIC, Link
 from repro.pfs.layout import StripeLayout
 from repro.pnfs.protocol import LayoutKind, LayoutManager
 from repro.sim import Acquire, Resource, Simulator, Timeout

@@ -32,7 +32,7 @@ from repro.failure.traces import InterruptTrace
 from repro.faults import FaultSchedule
 from repro.faults.errors import FaultError
 from repro.faults.resilience import ResilienceParams
-from repro.net.fabric import FabricParams, LeafSpineParams
+from repro.net.params import FabricParams, LeafSpineParams
 from repro.obs import Observability
 from repro import obs as obs_mod
 from repro.pfs import PFSParams, SimPFS

@@ -32,20 +32,17 @@ from repro.sim.core import (
     Wait,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import Counter, Gauge, TimeWeightedValue, WelfordStat
+from repro.sim.stats import Counter
 
 __all__ = [
     "Acquire",
     "Counter",
     "Event",
-    "Gauge",
     "Process",
     "Resource",
     "SimulationError",
     "Simulator",
     "Store",
-    "TimeWeightedValue",
     "Timeout",
     "Wait",
-    "WelfordStat",
 ]

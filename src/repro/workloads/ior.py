@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.mpi import run_spmd
-from repro.net.fabric import FabricParams
+from repro.net.params import FabricParams
 from repro.obs import tracer as _obs_tracer
 from repro.pfs.params import PFSParams
 from repro.plfs.mpiio import PlfsMPIIO

@@ -17,7 +17,7 @@ from repro.collective import (
     server_column_domains,
     shuffle_matrix,
 )
-from repro.net.fabric import FabricParams
+from repro.net.params import FabricParams
 from repro.obs import use as obs_use
 from repro.pfs import GPFS_LIKE, PFSParams
 from repro.workloads import n1_strided, overlap_bytes

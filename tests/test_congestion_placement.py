@@ -6,16 +6,27 @@ gating, stale-telemetry decay), the deciding half
 sticky chunk map (``PlacedLayout``), and the end-to-end ``SimPFS``
 wiring behind the ``PFSParams.placement`` knob.
 
-The fault-injection scenario pinned here: a switch port whose exported
-gauges go *stale* (a stalled switch stops updating the registry) must
-not wedge placement — the EWMA decays and the strategy falls back to
-its wrapped choice instead of steering forever on frozen telemetry.
+The sensing tests drive simulator-less ``SwitchPort`` objects through
+their own accounting API (``admit``/``drain``/``record_drops``): the
+feedback reads port state, never the ``repro.obs`` recorder.
+
+The fault-injection scenario pinned here: a switch port whose state
+goes *stale* (a stalled switch stops moving its counters) must not
+wedge placement — the EWMA decays and the strategy falls back to its
+wrapped choice instead of steering forever on a frozen reading.
 """
 
 import pytest
 
 from repro import obs as obs_mod
-from repro.net.fabric import FabricFeedback, FabricParams
+from repro.net import (
+    FabricFeedback,
+    FabricParams,
+    LeafSpineParams,
+    Link,
+    SwitchPort,
+    Topology,
+)
 from repro.pfs.layout import PlacedLayout, StripeLayout
 from repro.pfs.params import PFSParams
 from repro.pfs.system import SimPFS
@@ -39,29 +50,42 @@ class FakeClock:
         return self.t
 
 
-def _feedback(metrics, clock, **kw):
+def _ports(n: int = N) -> list[SwitchPort]:
+    fabric = FabricParams(name="t", buffer_pkts=64)
+    return [SwitchPort(Link(125e6), fabric, name=f"server{i}") for i in range(n)]
+
+
+def _feedback(ports, clock, **kw):
     kw.setdefault("interval_s", 1e-3)
     kw.setdefault("alpha", 0.5)
     kw.setdefault("stale_after_s", 5e-3)
-    return FabricFeedback(metrics, N, now_fn=clock, **kw)
+    return FabricFeedback(ports, now_fn=clock, **kw)
 
 
-def _heat(metrics, server: int, occupancy: float = 64.0, drops: float = 0.0):
-    metrics.gauge("net.fabric.occupancy_pkts", port=f"server{server}").set(occupancy)
-    if drops:
-        metrics.counter("net.fabric.drops_pkts", port=f"server{server}").inc(drops)
+def _heat(ports, server: int, occupancy: int = 64, drops: int = 0):
+    port = ports[server]
+    port.drain(port.occupancy_pkts)
+    port.admit(occupancy)
+    port.record_drops(drops)
+
+
+def _topology(n_servers: int = N, **fabric_kw) -> Topology:
+    return Topology(
+        Simulator(), n_servers, Link(125e6), Link(125e6),
+        fabric=FabricParams(name="t", **fabric_kw),
+    )
 
 
 # -- FabricFeedback ----------------------------------------------------
 
 
 def test_feedback_costs_track_occupancy_and_drops():
-    o = obs_mod.Observability()
+    ports = _ports()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock, buffer_norm=64.0, drop_weight=0.1)
+    fb = _feedback(ports, clock, buffer_norm=64.0, drop_weight=0.1)
     fb.costs()  # seed snapshot: all idle
-    _heat(o.metrics, 0, occupancy=64.0)
-    _heat(o.metrics, 1, occupancy=8.0, drops=2.0)
+    _heat(ports, 0, occupancy=64)
+    _heat(ports, 1, occupancy=8, drops=2)
     clock.t += 2e-3
     costs = fb.costs()
     assert costs[0] > costs[1] > 0.0
@@ -73,11 +97,11 @@ def test_feedback_costs_track_occupancy_and_drops():
 
 
 def test_feedback_interval_gates_refresh():
-    o = obs_mod.Observability()
+    ports = _ports()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock)
+    fb = _feedback(ports, clock)
     fb.costs()
-    _heat(o.metrics, 3, occupancy=32.0)
+    _heat(ports, 3, occupancy=32)
     clock.t += 0.4e-3  # less than one interval: snapshot not folded yet
     assert fb.costs()[3] == 0.0
     clock.t += 0.7e-3
@@ -87,15 +111,15 @@ def test_feedback_interval_gates_refresh():
 def test_feedback_ewma_smooths_transient_bursts():
     """One hot snapshot decays geometrically once the port goes quiet —
     placement reacts to sustained heat, not a single burst."""
-    o = obs_mod.Observability()
+    ports = _ports()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock, alpha=0.5, stale_after_s=1.0)
+    fb = _feedback(ports, clock, alpha=0.5, stale_after_s=1.0)
     fb.costs()
-    _heat(o.metrics, 0, occupancy=64.0)
+    _heat(ports, 0, occupancy=64)
     clock.t += 1e-3
     peak = fb.costs()[0]
     assert peak == pytest.approx(0.5)  # one fold toward instant=1.0 at alpha=0.5
-    _heat(o.metrics, 0, occupancy=0.0)  # burst over
+    _heat(ports, 0, occupancy=0)  # burst over
     seen = []
     for _ in range(4):
         clock.t += 1e-3
@@ -105,43 +129,50 @@ def test_feedback_ewma_smooths_transient_bursts():
 
 
 def test_feedback_sensing_registers_nothing():
-    """Reading is not recording: looking at a port must not create its
-    series (16 looked-at ports used to leave 64 zero series behind)."""
-    from repro.net.fabric import Link, Topology
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = MetricsRegistry()
-    fb = FabricFeedback(reg, 16, uplink_names=[f"leaf{s % 2}.down" for s in range(16)])
-    fb.refresh()
-    assert fb.costs() == [0.0] * 16
-    assert len(reg) == 0
-
+    """Reading is not recording: sensing a live fabric's ports under a
+    bundle leaves the registry exactly as it found it."""
     with obs_mod.use(obs_mod.Observability()) as o:
-        sim = Simulator()
-        Topology(sim, 16, Link(125e6), Link(125e6),
-                 fabric=FabricParams(name="idle", buffer_pkts=32))
+        topo = _topology(
+            16, buffer_pkts=32, leafspine=LeafSpineParams(n_racks=2)
+        )
         before = len(o.metrics)
-        fb = FabricFeedback(o.metrics, 16, now_fn=lambda: sim.now)
+        fb = FabricFeedback.for_topology(topo)
         assert fb.costs() == [0.0] * 16
         assert len(o.metrics) == before
         # an idle fabric has recorded nothing, so it has no series at all
         assert not o.metrics.find("net.fabric") and not o.metrics.find("sim.resource")
 
 
-def test_feedback_without_registry_is_inert():
-    fb = FabricFeedback(None, N)
-    assert fb.costs() == [0.0] * N
-    strat = CongestionAwarePlacement(RoundRobinPlacement(N), feedback=None)
-    assert strat.place(5, 3) == RoundRobinPlacement(N).place(5, 3)
+def test_feedback_senses_ports_without_a_registry():
+    """No bundle is active (conftest's isolation fixture): the ports'
+    own always-on state is all the feedback needs."""
+    assert obs_mod.current() is None
+    topo = _topology(buffer_pkts=16)
+    fb = FabricFeedback.for_topology(topo)
+    assert fb.buffer_norm == 16.0
+    assert fb.costs() == [0.0] * N  # seeded on the idle fabric at t=0
+    hot = topo.server_ports[3]
+    hot.admit(16)
+    hot.record_drops(5)
+    topo.sim.call_at(2e-3, lambda: None)
+    topo.sim.run()  # the feedback samples on the topology's own clock
+    costs = fb.costs()
+    assert costs[3] == pytest.approx((16 / 16.0 + 0.1 * 5) * 0.75)
+    assert all(c == 0.0 for i, c in enumerate(costs) if i != 3)
+    strat = CongestionAwarePlacement(RoundRobinPlacement(N), feedback=fb)
+    assert strat.place(3, 0) != 3 and strat.diversions == 1
 
 
 def test_feedback_rejects_bad_knobs():
+    ports = _ports(4)
     with pytest.raises(ValueError):
-        FabricFeedback(None, 0)
+        FabricFeedback([])
     with pytest.raises(ValueError):
-        FabricFeedback(None, 4, alpha=0.0)
+        FabricFeedback(ports, alpha=0.0)
     with pytest.raises(ValueError):
-        FabricFeedback(None, 4, interval_s=0.0)
+        FabricFeedback(ports, interval_s=0.0)
+    with pytest.raises(ValueError):
+        FabricFeedback(ports, hops=ports[:1])
 
 
 # -- fault injection: stale telemetry ----------------------------------
@@ -152,15 +183,15 @@ def test_stale_gauges_decay_and_placement_falls_back():
     stall) first diverts traffic, then — once the telemetry is stale —
     decays back to the base strategy.  Placement never wedges and never
     raises."""
-    o = obs_mod.Observability()
+    ports = _ports()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock, stale_after_s=5e-3)
+    fb = _feedback(ports, clock, stale_after_s=5e-3)
     base = RoundRobinPlacement(N)
     strat = CongestionAwarePlacement(base, feedback=fb)
     fb.costs()  # seed
     # heat port 0, keep its counters moving so it reads as live
     file_id = 0  # base choice for (0, 0) is server 0
-    _heat(o.metrics, 0, occupancy=64.0, drops=50.0)
+    _heat(ports, 0, occupancy=64, drops=50)
     clock.t += 2e-3
     diverted = strat.place(file_id, 0)
     assert diverted != 0, "live hot port must divert"
@@ -177,18 +208,18 @@ def test_stale_gauges_decay_and_placement_falls_back():
 
 
 def test_stale_port_recovers_when_telemetry_resumes():
-    o = obs_mod.Observability()
+    ports = _ports()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock, stale_after_s=5e-3)
+    fb = _feedback(ports, clock, stale_after_s=5e-3)
     fb.costs()
-    _heat(o.metrics, 0, occupancy=64.0)
+    _heat(ports, 0, occupancy=64)
     clock.t += 2e-3
     assert fb.costs()[0] > 0.5
     for _ in range(20):  # stall long enough to decay + flag stale
         clock.t += 1e-3
         fb.costs()
     assert fb.stale[0]
-    _heat(o.metrics, 0, occupancy=48.0, drops=10.0)  # switch comes back
+    _heat(ports, 0, occupancy=48, drops=10)  # switch comes back
     clock.t += 1e-3
     assert fb.costs()[0] > 0.5
     assert not fb.stale[0]
@@ -198,29 +229,29 @@ def test_stale_port_recovers_when_telemetry_resumes():
 
 
 def test_diversion_requires_hysteresis_margin():
-    o = obs_mod.Observability()
+    ports = _ports()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock)
+    fb = _feedback(ports, clock)
     strat = CongestionAwarePlacement(
         RoundRobinPlacement(N), feedback=fb, hysteresis=0.5
     )
     fb.costs()
-    _heat(o.metrics, 0, occupancy=16.0)  # cost 0.25 < hysteresis 0.5
+    _heat(ports, 0, occupancy=16)  # cost 0.25 < hysteresis 0.5
     clock.t += 2e-3
     assert strat.place(0, 0) == 0, "sub-hysteresis heat must not divert"
-    _heat(o.metrics, 0, occupancy=64.0)
+    _heat(ports, 0, occupancy=64)
     clock.t += 2e-3
     assert strat.place(0, 0) != 0
 
 
 def test_diversion_picks_cheapest_candidate():
-    o = obs_mod.Observability()
+    ports = _ports()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock)
+    fb = _feedback(ports, clock)
     strat = CongestionAwarePlacement(RoundRobinPlacement(N), feedback=fb, fanout=3)
     fb.costs()
-    _heat(o.metrics, 0, occupancy=64.0)
-    _heat(o.metrics, 1, occupancy=32.0)
+    _heat(ports, 0, occupancy=64)
+    _heat(ports, 1, occupancy=32)
     clock.t += 2e-3
     # base choice for (0, 0) is 0; candidates are {0, 1, 2}: 2 is coldest
     assert strat.place(0, 0) == 2
@@ -232,7 +263,7 @@ def test_congestion_wrapper_validates_shapes():
         CongestionAwarePlacement(RoundRobinPlacement(4), fanout=0)
     with pytest.raises(ValueError):
         CongestionAwarePlacement(
-            RoundRobinPlacement(4), feedback=FabricFeedback(None, 5)
+            RoundRobinPlacement(4), feedback=FabricFeedback(_ports(5))
         )
 
 
@@ -240,31 +271,27 @@ def test_congestion_wrapper_validates_shapes():
 
 
 def test_build_placement_specs():
-    assert isinstance(build_placement("round-robin", N), RoundRobinPlacement)
-    assert isinstance(build_placement("crush", N), CrushLikePlacement)
-    rg = build_placement("raid-group-3", N)
+    topo = _topology(buffer_pkts=32)
+    assert isinstance(build_placement("round-robin", topo), RoundRobinPlacement)
+    assert isinstance(build_placement("crush", topo), CrushLikePlacement)
+    rg = build_placement("raid-group-3", topo)
     assert isinstance(rg, RaidGroupPlacement) and rg.group_size == 3
-    cong = build_placement("congestion", N)
+    cong = build_placement("congestion", topo)
     assert isinstance(cong, CongestionAwarePlacement)
-    assert cong.feedback is None  # no metrics -> inert wrapper
-    o = obs_mod.Observability()
-    wired = build_placement(
-        "congestion:crush",
-        N,
-        metrics=o.metrics,
-        fabric=FabricParams(buffer_pkts=32),
-    )
+    assert isinstance(cong.base, RoundRobinPlacement)
+    wired = build_placement("congestion:crush", topo)
     assert isinstance(wired.base, CrushLikePlacement)
-    assert wired.feedback is not None
+    assert wired.feedback.n_servers == N
     assert wired.feedback.buffer_norm == 32.0
     ready = RoundRobinPlacement(N)
-    assert build_placement(ready, N) is ready
+    assert build_placement(ready, topo) is ready
+    assert build_placement(lambda t: RoundRobinPlacement(t.n_servers), topo).n_servers == N
     with pytest.raises(ValueError):
-        build_placement(ready, N + 1)
+        build_placement(ready, _topology(N + 1))
     with pytest.raises(ValueError):
-        build_placement("no-such-strategy", N)
+        build_placement("no-such-strategy", topo)
     with pytest.raises(TypeError):
-        build_placement(123, N)
+        build_placement(123, topo)
 
 
 # -- PlacedLayout ------------------------------------------------------
@@ -273,14 +300,14 @@ def test_build_placement_specs():
 def test_placed_layout_is_sticky_under_time_varying_costs():
     """Once a chunk is placed, later cost changes must not move it —
     reads must find the bytes where the write put them."""
-    o = obs_mod.Observability()
+    ports = _ports()
     clock = FakeClock()
-    fb = _feedback(o.metrics, clock)
+    fb = _feedback(ports, clock)
     strat = CongestionAwarePlacement(RoundRobinPlacement(N), feedback=fb)
     layout = PlacedLayout(strat, stripe_unit=64 * 1024)
     fb.costs()
     first = layout.server_of(0, 0)
-    _heat(o.metrics, first, occupancy=64.0, drops=100.0)  # now make it hot
+    _heat(ports, first, occupancy=64, drops=100)  # now make it hot
     clock.t += 2e-3
     assert layout.server_of(0, 0) == first  # sticky
     assert layout.server_of(0, 1) != first  # but new chunks divert
@@ -352,21 +379,18 @@ def test_simpfs_roundtrip_under_each_placement(placement):
     assert t > 0.0
 
 
-def test_simpfs_congestion_binds_feedback_to_active_obs():
+def test_simpfs_congestion_binds_feedback_to_its_topology():
+    """With or without a bundle, ``placement="congestion"`` senses the
+    deployment's own server ports, normalized by its buffer depth."""
+    params = PFSParams(
+        n_servers=N, fabric=FabricParams(buffer_pkts=16), placement="congestion"
+    )
     with obs_mod.use(obs_mod.Observability(name="bind")):
-        sim = Simulator()
-        pfs = SimPFS(
-            sim,
-            PFSParams(
-                n_servers=N,
-                fabric=FabricParams(buffer_pkts=16),
-                placement="congestion",
-            ),
-        )
+        recorded = SimPFS(Simulator(), params)
+    bare = SimPFS(Simulator(), params)
+    for pfs in (recorded, bare):
         strat = pfs.placement.strategy
         assert isinstance(strat, CongestionAwarePlacement)
-        assert strat.feedback is not None
         assert strat.feedback.buffer_norm == 16.0
-    sim2 = Simulator()
-    pfs2 = SimPFS(sim2, PFSParams(n_servers=N, placement="congestion"))
-    assert pfs2.placement.strategy.feedback is None  # no obs bundle -> inert
+        pfs.topology.server_ports[2].admit(16)
+        assert strat.feedback.costs()[2] == 1.0  # seeded from the port itself

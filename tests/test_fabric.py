@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import obs as obs_mod
-from repro.net.fabric import (
+from repro.net import (
     FabricParams,
     IDEAL_FABRIC,
     Link,

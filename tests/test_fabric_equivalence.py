@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.net.fabric import FabricParams, IDEAL_FABRIC
+from repro.net.params import FabricParams, IDEAL_FABRIC
 from repro.pfs.params import GPFS_LIKE, LUSTRE_LIKE, PANFS_LIKE, PFSParams
 from repro.plfs.simbridge import run_direct_n1, run_plfs, run_readback
 from repro.workloads.ior import IORConfig, run_ior_sim

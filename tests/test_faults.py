@@ -338,7 +338,7 @@ def test_leaf_blackout_without_restore_rejected():
 
 
 def test_leaf_blackout_downs_whole_rack_and_restores():
-    from repro.net.fabric import FabricParams, LeafSpineParams
+    from repro.net.params import FabricParams, LeafSpineParams
 
     with obs_mod.use(obs_mod.Observability(name="rackdark")) as o:
         sim, pfs = _pfs(
@@ -388,7 +388,7 @@ def test_set_leaf_down_requires_leafspine():
 
 
 def test_port_blackout_reaches_fabric():
-    from repro.net.fabric import FabricParams
+    from repro.net.params import FabricParams
 
     with obs_mod.use(obs_mod.Observability(name="dark")) as o:
         sim, pfs = _pfs(

@@ -117,7 +117,7 @@ def test_x17_critical_path_within_1pct_of_makespan():
     bundle's per-request critical path sums to within 1% of the measured
     makespan."""
     from repro.collective.twophase import CollectiveConfig, run_collective_write
-    from repro.net.fabric import FabricParams
+    from repro.net.params import FabricParams
     from repro.pfs.params import PFSParams
 
     fabric = FabricParams(name="1GE-32pkt", buffer_pkts=32, min_rto_s=0.2, seed=3)
@@ -164,7 +164,7 @@ def test_request_timeline_bridges_to_cview():
 # -- fabric drop/RTO attribution ---------------------------------------
 def test_fabric_drops_attribute_to_request_and_tenant():
     """A fan-in overwhelming a tiny port attributes its drops to the ctx."""
-    from repro.net.fabric import FabricParams, Link, Topology
+    from repro.net import FabricParams, Link, Topology
 
     fabric = FabricParams(name="tiny", buffer_pkts=4, min_rto_s=1e-3, seed=1)
     with obs_mod.use(Observability(name="attr")) as o:
@@ -188,7 +188,7 @@ def test_fabric_drops_attribute_to_request_and_tenant():
 
 
 def test_switchport_stats_and_blackout_totals():
-    from repro.net.fabric import FabricParams, Link, SwitchPort
+    from repro.net import FabricParams, Link, SwitchPort
 
     port = SwitchPort(Link(125e6), FabricParams(buffer_pkts=8), name="p0")
     port.set_down(True)
@@ -205,7 +205,7 @@ def test_switchport_stats_and_blackout_totals():
 def test_span_nesting_spans_fabric_processes():
     """pfs.write → pfs.server.request → fabric.xfer nest across the
     client process, the server process, and the windowed flow."""
-    from repro.net.fabric import FabricParams
+    from repro.net.params import FabricParams
     from repro.pfs.params import PFSParams
     from repro.pfs.system import SimPFS
 
@@ -235,7 +235,7 @@ def test_span_nesting_spans_fabric_processes():
 # -- obs-bundle isolation + same-seed determinism (satellite) -----------
 def _traced_run() -> tuple[str, int]:
     """One seeded finite-fabric PFS run; returns (JSONL trace, first rid)."""
-    from repro.net.fabric import FabricParams
+    from repro.net.params import FabricParams
     from repro.pfs.params import PFSParams
     from repro.pfs.system import SimPFS
 
@@ -373,7 +373,7 @@ def _fluid_storm(n_clients: int = STORM_CLIENTS, with_ctx_client=None):
     Every flow is anonymous, except that ``with_ctx_client``'s request
     leg carries a request context.  Returns ``(bundle, topology, ctx)``.
     """
-    from repro.net.fabric import FabricParams, Link, Topology
+    from repro.net import FabricParams, Link, Topology
 
     fabric = FabricParams(name="storm", buffer_pkts=64, min_rto_s=0.2, seed=7, mode="fluid")
     with obs_mod.use(Observability(name="storm")) as o:
@@ -432,7 +432,7 @@ def test_storm_recording_cost_follows_what_happened():
 
 
 def test_series_exist_iff_recorded_on_both_engines():
-    from repro.net.fabric import FabricParams, LeafSpineParams
+    from repro.net.params import FabricParams, LeafSpineParams
     from repro.pfs.params import PFSParams
     from repro.pfs.system import SimPFS
 

@@ -26,7 +26,7 @@ from dataclasses import replace
 import pytest
 
 from repro.giga import ServiceParams, run_storm
-from repro.net.fabric import FabricParams, Link, Topology
+from repro.net import FabricParams, Link, Topology
 from repro.pfs.params import PFSParams
 from repro.pfs.system import SimPFS
 from repro.sim import Simulator

@@ -26,7 +26,7 @@ sets rather than the pinned x14/x20 curves:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.fabric import FabricParams, Link, Topology
+from repro.net import FabricParams, Link, Topology
 from repro.sim import Simulator
 
 BANDWIDTHS = (112e6, 1.25e9)

@@ -13,7 +13,7 @@ import io
 from repro import obs as obs_mod
 from repro.faults import FaultEvent, FaultSchedule
 from repro.giga import GigaService, ServiceParams, run_storm
-from repro.net.fabric import FabricParams, LeafSpineParams
+from repro.net.params import FabricParams, LeafSpineParams
 from repro.obs import Observability
 from repro.sim import Simulator
 

@@ -97,4 +97,4 @@ def test_invalid_server_count():
 
 def test_configs_exposed():
     assert ONE_GE.link_Bps < TEN_GE.link_Bps
-    assert ONE_GE.pkts_per_rtt >= 1
+    assert ONE_GE.as_fabric().rtt_s > TEN_GE.as_fabric().rtt_s

@@ -6,7 +6,7 @@ the rack's aggregate edge bandwidth divided by the oversubscription
 ratio.  These tests pin the geometry (rack assignment, uplink sizing,
 route construction), the windowed multi-hop transfer edge cases
 (zero-byte, single-packet, ``cwnd_cap=1``), the hierarchy-aware
-:class:`~repro.net.fabric.FabricFeedback` costs, and the rack-aligned
+:class:`~repro.net.feedback.FabricFeedback` costs, and the rack-aligned
 aggregator grouping that keeps phase-2 collective writes off the spine.
 """
 
@@ -14,9 +14,8 @@ import math
 
 import pytest
 
-from repro import obs as obs_mod
 from repro.collective.aggsel import rack_aligned_groups, select_aggregators
-from repro.net.fabric import (
+from repro.net import (
     FabricFeedback,
     FabricParams,
     LeafSpineParams,
@@ -116,7 +115,6 @@ def test_flat_topology_geometry_is_degenerate():
     assert topo.n_racks == 1
     assert topo.server_rack(3) == 0 and topo.client_rack(7) == 0
     assert topo.client_for_rack(0, 5) == 5
-    assert topo.uplink_name_for_server(2) is None
     assert topo.leaf_up == [] and topo.leaf_down == []
     with pytest.raises(ValueError):
         topo.set_leaf_down(0, True)
@@ -130,8 +128,8 @@ def test_uplink_bandwidth_derives_from_oversubscription():
     assert topo.leaf_down[1].link.bandwidth_Bps == expected
     nonblocking = _topo(Simulator(), n_servers=8, n_racks=2, oversubscription=1.0)
     assert nonblocking.leaf_up[0].link.bandwidth_Bps == 4 * NIC
-    assert topo.uplink_name_for_server(0) == "leaf0.down"
-    assert topo.uplink_name_for_server(7) == "leaf1.down"
+    assert topo.leaf_down[topo.server_rack(0)].name == "leaf0.down"
+    assert topo.leaf_down[topo.server_rack(7)].name == "leaf1.down"
 
 
 # -- routing ------------------------------------------------------------
@@ -253,29 +251,36 @@ def test_oversubscribed_uplink_is_the_bottleneck():
 # -- hierarchy-aware feedback -------------------------------------------
 
 def test_feedback_uplink_cost_charges_every_server_behind_it():
-    o = obs_mod.Observability()
-    m = o.metrics
-    names = ["leaf0.down", "leaf0.down", "leaf1.down", "leaf1.down"]
-    fb = FabricFeedback(m, 4, uplink_names=names, buffer_norm=64.0)
-    m.gauge("net.fabric.occupancy_pkts", port="leaf1.down").set(32.0)
+    topo = _topo(Simulator(), n_servers=4, n_racks=2, buffer_pkts=64)
+    # no clock: every costs() call is one sampling interval
+    fb = FabricFeedback(
+        topo.server_ports,
+        hops=[topo.leaf_down[topo.server_rack(s)] for s in range(4)],
+        buffer_norm=64.0,
+    )
+    topo.leaf_down[1].admit(32)
     base = fb.costs()
     assert base[0] == base[1] == 0.0
     assert base[2] == base[3] == pytest.approx(0.5)
     # edge heat stacks on top of the shared hop cost (one EWMA fold of
     # the 16/64 instant edge reading)
-    m.gauge("net.fabric.occupancy_pkts", port="server2").set(16.0)
+    topo.server_ports[2].admit(16)
     costs = fb.costs()
     assert costs[2] == pytest.approx(costs[3] + fb.alpha * 16.0 / 64.0)
     assert fb.hop_costs()["leaf1.down"] > fb.hop_costs()["leaf0.down"]
 
 
 def test_feedback_uplink_names_validation_and_flat_default():
-    o = obs_mod.Observability()
+    """The per-server uplink hops: one per server or none at all."""
+    topo = _topo(Simulator(), n_servers=4, n_racks=2)
     with pytest.raises(ValueError):
-        FabricFeedback(o.metrics, 4, uplink_names=["leaf0.down"])
-    flat = FabricFeedback(o.metrics, 2)
+        FabricFeedback(topo.server_ports, hops=[topo.leaf_down[0]])
+    flat = FabricFeedback(topo.server_ports[:2])
     assert flat.costs() == [0.0, 0.0]
     assert flat.hop_costs() == {}
+    assert set(FabricFeedback.for_topology(topo).hop_costs()) == {
+        "leaf0.down", "leaf1.down"
+    }
 
 
 # -- rack-aligned aggregator grouping -----------------------------------

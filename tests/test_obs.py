@@ -282,24 +282,19 @@ def test_incast_metrics_recorded():
 
 
 def test_stats_shim_mirrors_into_registry():
-    from repro.sim.stats import Counter as LegacyCounter, Gauge as LegacyGauge
+    from repro.sim.stats import Counter as SimCounter
 
     reg = MetricsRegistry()
-    c = LegacyCounter(registry=reg, prefix="legacy.")
+    c = SimCounter(registry=reg, prefix="comp.")
     c.add("ops", 2)
-    c.inc("ops")
-    assert c["ops"] == 3  # dict-style back-compat access still works
-    assert reg.counter("legacy.ops").value == 3
-    g = LegacyGauge(registry=reg, prefix="legacy.")
-    g.set("depth", 4)
-    g.dec("depth")
-    assert g["depth"] == 3
-    assert reg.gauge("legacy.depth").value == 3
+    c.add("ops")
+    assert c["ops"] == 3  # the component-local store the model reads
+    assert reg.counter("comp.ops").value == 3
 
 
 def test_stats_shim_and_request_minting_hold_their_series(monkeypatch):
     """One registry lookup per distinct key, not one per increment."""
-    from repro.sim.stats import Counter as LegacyCounter, Gauge as LegacyGauge
+    from repro.sim.stats import Counter as SimCounter
 
     lookups = []
     real_get = MetricsRegistry._get
@@ -310,16 +305,13 @@ def test_stats_shim_and_request_minting_hold_their_series(monkeypatch):
 
     monkeypatch.setattr(MetricsRegistry, "_get", counting_get)
     o = obs.Observability()
-    c = LegacyCounter(registry=o.metrics, prefix="legacy.", labels={"server": 3})
-    g = LegacyGauge(registry=o.metrics, prefix="legacy.")
+    c = SimCounter(registry=o.metrics, prefix="comp.", labels={"server": 3})
     keys = ("creates", "lookups", "redirects")
     for i in range(10_000):
         c.add(keys[i % 3])
-        g.set("depth", i)
         o.request_context(tenant="a" if i % 2 else "b")
-    assert len(lookups) == len(set(lookups)) == 3 + 1 + 2
-    assert o.metrics.value("legacy.creates", server=3) == c["creates"] == 3334
-    assert o.metrics.value("legacy.depth") == 9999
+    assert len(lookups) == len(set(lookups)) == 3 + 2
+    assert o.metrics.value("comp.creates", server=3) == c["creates"] == 3334
     assert o.metrics.value("obs.requests", tenant="a") == 5000
 
 

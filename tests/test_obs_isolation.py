@@ -39,9 +39,9 @@ def test_identical_runs_produce_identical_metrics():
 
 
 def test_identical_congestion_runs_are_deterministic():
-    """The congestion-aware path (placement feedback reads the registry it
-    writes) is still deterministic run-to-run."""
-    from repro.net.fabric import FabricParams
+    """The congestion-aware path (placement steered by port feedback) is
+    deterministic run-to-run, recorded metrics included."""
+    from repro.net.params import FabricParams
 
     fabric = FabricParams(name="t", buffer_pkts=16, seed=9)
     results = []
@@ -53,3 +53,33 @@ def test_identical_congestion_runs_are_deterministic():
             results.append((res.makespan_s, o.metrics.snapshot()))
     assert results[0][0] == results[1][0]
     assert results[0][1] == results[1][1]
+
+
+def test_the_model_never_reads_its_recorder_back():
+    """Write-only from the model: outside ``repro.obs`` no module calls a
+    registry reader (``.value(...)`` / ``.snapshot()``) or takes one off
+    a ``.metrics`` handle, so what a simulation does cannot depend on
+    whether a bundle is active."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    def reads_back(node) -> bool:
+        if isinstance(node, ast.Call):
+            f = node.func
+            return isinstance(f, ast.Attribute) and f.attr in ("value", "snapshot")
+        if isinstance(node, ast.Attribute) and node.attr in ("value", "snapshot", "find"):
+            base = node.value  # ``<x>.metrics.value`` / ``metrics.value``, called or aliased
+            return getattr(base, "attr", getattr(base, "id", None)) == "metrics"
+        return False
+
+    root = Path(repro.__file__).parent
+    readers = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).parts[0] != "obs"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if reads_back(node)
+    ]
+    assert readers == []

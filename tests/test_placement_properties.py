@@ -17,8 +17,7 @@ paper's claims), checked here under hypothesis-generated configurations:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import Observability
-from repro.net.fabric import FabricFeedback
+from repro.net import FabricFeedback, FabricParams, Link, SwitchPort
 from repro.placement import (
     CongestionAwarePlacement,
     CrushLikePlacement,
@@ -90,11 +89,10 @@ def test_crush_migration_bounded_near_minimal(n_servers, seed):
 def test_congestion_degrades_to_base_on_idle_fabric(n_servers, file_id, chunk):
     """All ports at zero occupancy (and no drops) -> exactly the wrapped
     strategy's choice, whether feedback is absent or present-but-idle."""
-    obs = Observability(name="idle")
+    idle = FabricParams(name="idle", buffer_pkts=64)
+    ports = [SwitchPort(Link(125e6), idle, name=f"server{i}") for i in range(n_servers)]
     clock = {"t": 0.0}
-    feedback = FabricFeedback(
-        obs.metrics, n_servers, now_fn=lambda: clock["t"], interval_s=1.0
-    )
+    feedback = FabricFeedback(ports, now_fn=lambda: clock["t"], interval_s=1.0)
     for base in (
         RoundRobinPlacement(n_servers),
         CrushLikePlacement(n_servers),
@@ -102,7 +100,7 @@ def test_congestion_degrades_to_base_on_idle_fabric(n_servers, file_id, chunk):
     ):
         bare = CongestionAwarePlacement(base)
         wired = CongestionAwarePlacement(base, feedback=feedback)
-        clock["t"] += 2.0  # force a refresh: still all-zero gauges
+        clock["t"] += 2.0  # force a refresh: still all-idle ports
         want = base.place(file_id, chunk)
         assert bare.place(file_id, chunk) == want
         assert wired.place(file_id, chunk) == want
