@@ -19,7 +19,7 @@ Three drive modes share the same :class:`SwitchPort` semantics:
 
 =============  =======================================================
 process mode   :meth:`Topology.to_server` / :meth:`Topology.to_client`
-               are generators; admitted packets occupy the port buffer
+               return generators; admitted packets occupy the port buffer
                until the port's link (a capacity-1 resource) drains
                them; a flow finding the buffer full suffers a full-
                window loss and sits out a (min-)RTO before retrying.
@@ -294,7 +294,7 @@ class Topology:
         path = self._route(
             self.server_ports[server], self.server_rack(server), src_rack
         )
-        yield from self._xfer(path, nbytes, parent_span, cwnd_cap, ctx)
+        return self._xfer(path, nbytes, parent_span, cwnd_cap, ctx)
 
     def to_client(
         self, client: int, nbytes: int, parent_span=None, cwnd_cap=None, ctx=None,
@@ -307,7 +307,7 @@ class Topology:
         """
         src_rack = None if src_server is None else self.server_rack(src_server)
         path = self._route(self.client_port(client), self.client_rack(client), src_rack)
-        yield from self._xfer(path, nbytes, parent_span, cwnd_cap, ctx)
+        return self._xfer(path, nbytes, parent_span, cwnd_cap, ctx)
 
     def server_to_server(
         self, src_server: int, dst_server: int, nbytes: int,
@@ -327,14 +327,18 @@ class Topology:
             self.server_rack(dst_server),
             self.server_rack(src_server),
         )
-        yield from self._xfer(path, nbytes, parent_span, cwnd_cap, ctx)
+        return self._xfer(path, nbytes, parent_span, cwnd_cap, ctx)
 
     def to_port(self, port: SwitchPort, nbytes: int, parent_span=None, cwnd_cap=None, ctx=None):
         """Move a payload through one explicit port (e.g. a named funnel)."""
-        yield from self._xfer([port], nbytes, parent_span, cwnd_cap, ctx)
+        return self._xfer([port], nbytes, parent_span, cwnd_cap, ctx)
 
     def _xfer(self, path: list[SwitchPort], nbytes: int, parent_span=None, cwnd_cap=None, ctx=None):
-        """Mode dispatch: the exact windowed engine or the fluid engine."""
+        """Mode dispatch: the exact windowed engine or the fluid engine.
+
+        The four public movers route when called and hand back this
+        engine generator itself, so a resumed flow runs one frame deep.
+        """
         if self._fluid_engine is not None:
             return self._fluid(path, nbytes, parent_span, cwnd_cap, ctx)
         return self._windowed(path, nbytes, parent_span, cwnd_cap, ctx)

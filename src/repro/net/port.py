@@ -57,6 +57,8 @@ class SwitchPort:
     ) -> None:
         self.link = link
         self.fabric = fabric
+        # Link and FabricParams are frozen, so this never goes stale
+        self.pkt_time_s = fabric.pkt_bytes / link.bandwidth_Bps
         self.name = name
         self.occupancy_pkts = 0
         self.down = False  # fault injection: blacked-out port delivers nothing
@@ -79,10 +81,6 @@ class SwitchPort:
         self._g_occupancy = self._h_occupancy = None
 
     # -- geometry ------------------------------------------------------
-    @property
-    def pkt_time_s(self) -> float:
-        return self.fabric.pkt_bytes / self.link.bandwidth_Bps
-
     @property
     def pkts_per_rtt(self) -> int:
         return max(1, int(self.fabric.rtt_s / self.pkt_time_s))

@@ -27,8 +27,9 @@ and ``preadv``s each one straight into the caller's buffer; an
 :class:`IndexEntry` object exists only for callers of ``lookup()``.
 
 Compaction merges records that are contiguous both logically and
-physically within one dropping — the optimization the report lists as
-"compress read-back indexes".
+physically within one dropping, unless another record stamped inside the
+run overlaps it — the optimization the report lists as "compress
+read-back indexes".
 """
 
 from __future__ import annotations
@@ -127,14 +128,44 @@ def read_index_dropping(path: Path | str) -> list[IndexEntry]:
     return list(starmap(IndexEntry, _read_rows(path, 0).tolist()))
 
 
+def _clashes(lo: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals ``[lo, end)`` in start order, and which of them overlap another.
+
+    Returns the start-order permutation and, per position in it, whether
+    that interval overlaps any other.  In start order an interval overlaps
+    an earlier one when it starts below the running max of ends, and a
+    later one when the next starts below its own end.  Empty intervals
+    may be reported as clashing.
+    """
+    by_start = np.argsort(lo, kind="stable")
+    s, e = lo[by_start], end[by_start]
+    clash = np.zeros(len(lo), dtype=bool)
+    clash[1:] = s[1:] < np.maximum.accumulate(e)[:-1]
+    clash[:-1] |= s[1:] < e[:-1]
+    return by_start, clash
+
+
+def _runs(joins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last row of every run, given which neighbours join."""
+    first = np.flatnonzero(np.concatenate(([True], ~joins)))
+    return first, np.append(first[1:], len(joins) + 1) - 1
+
+
 def _compact(rows: np.ndarray) -> np.ndarray:
     """The compaction rule: one row per run of rows that continue each other.
 
     A row joins the run before it when both come from the same dropping,
     neither is compressed, it continues the run logically and physically
     and its timestamp is no older.  A merged run ends — logically,
-    physically and in time — where its last row ends, so comparing
-    neighbouring rows decides every join.
+    physically and in time — where its last row ends.
+
+    Taking the last stamp promotes the run's earlier rows, so a run must
+    not merge across another row of ``rows`` that overlaps the run's
+    bytes and is stamped inside the run's stamp range: the run is cut
+    between the two neighbours whose stamps enclose that row's.  Every
+    byte then keeps the winner it had uncompacted, while sequential
+    single-writer runs and N-1 segments (which nothing overlaps) still
+    merge whole.
     """
     if not len(rows):
         return rows
@@ -148,8 +179,27 @@ def _compact(rows: np.ndarray) -> np.ndarray:
         & (po[:-1] + ln[:-1] == po[1:])
         & (ts[:-1] <= ts[1:])
     )
-    first = np.flatnonzero(np.concatenate(([True], ~joins)))
-    last = np.append(first[1:], len(rows)) - 1
+    first, last = _runs(joins)
+    if (last > first).any():
+        # only a merged run whose bytes overlap another run's can need a cut
+        end = lo + ln
+        by_start, clash = _clashes(lo[first], end[last])
+        suspects = by_start[clash]
+        suspects = suspects[last[suspects] > first[suspects]]
+        for a, b in zip(first[suspects].tolist(), last[suspects].tolist()):
+            # rows other than the run's own that overlap it inside its stamps
+            foreign = (
+                (np.maximum(lo, lo[a]) < np.minimum(end, end[b]))
+                & (ts >= ts[a]) & (ts <= ts[b])
+            )
+            foreign[a:b + 1] = False
+            if foreign.any():
+                stamps, t = ts[a:b + 1], ts[foreign]
+                lo_j = np.maximum(np.searchsorted(stamps, t, "left") - 1, 0)
+                hi_j = np.minimum(np.searchsorted(stamps, t, "right") - 1, b - a - 1)
+                for j0, j1 in zip(lo_j.tolist(), hi_j.tolist()):
+                    joins[a + j0:a + j1 + 1] = False
+        first, last = _runs(joins)
     out = rows[first]
     out["length"] = np.add.reduceat(ln, first)
     out["timestamp"] = ts[last]     # keep the latest stamp for the merged run
@@ -161,10 +211,11 @@ def _compact(rows: np.ndarray) -> np.ndarray:
 def compact_entries(entries: Sequence[IndexEntry]) -> list[IndexEntry]:
     """Merge runs contiguous in both logical and physical space.
 
-    Only entries from the same dropping with consecutive timestamps merge;
-    this preserves last-writer-wins resolution exactly while shrinking the
-    index for the common sequential-writer case (often by 100x or more for
-    checkpoint workloads).
+    Only entries from the same dropping with non-decreasing timestamps
+    merge, and never across another entry stamped inside the run that
+    overlaps it; this preserves last-writer-wins resolution exactly while
+    shrinking the index for the common sequential-writer case (often by
+    100x or more for checkpoint workloads).
     """
     return list(starmap(IndexEntry, _compact(_rows(entries)).tolist()))
 
@@ -210,15 +261,8 @@ class GlobalIndex:
         self._physical: list[int] = rows["physical_offset"].tolist()
         self._compressed: list[bool] = _compressed(rows).tolist()
         # A row that overlaps no other row yields the same map wherever in
-        # the insert sequence it goes, so all of those load at once.  In
-        # start order, a row overlaps an earlier one when it starts below
-        # the running max of ends, and a later one when the next starts
-        # below its own end.
-        by_start = np.argsort(lo, kind="stable")
-        s, e = lo[by_start], end[by_start]
-        clash = np.zeros(len(rows), dtype=bool)
-        clash[1:] = s[1:] < np.maximum.accumulate(e)[:-1]
-        clash[:-1] |= s[1:] < e[:-1]
+        # the insert sequence it goes, so all of those load at once.
+        by_start, clash = _clashes(lo, end)
         alone = by_start[~clash]
         self._map = IntervalMap()
         self._map.load_disjoint(lo[alone], end[alone], alone)
@@ -233,14 +277,15 @@ class GlobalIndex:
         pairs: Sequence[tuple[Path | str, Path | str]],
         compact: bool = True,
     ) -> "GlobalIndex":
-        """Build from [(data_path, index_path), ...]."""
-        parts = [np.empty(0, dtype=_ROW)]
-        for i, (_, index_path) in enumerate(pairs):
-            rows = _read_rows(index_path, i)
-            if compact:
-                rows = _compact(rows)
-            parts.append(rows)
-        return cls([p for p, _ in pairs], np.concatenate(parts))
+        """Build from [(data_path, index_path), ...].
+
+        Compaction sees every dropping at once: whether a writer's run
+        may merge depends on the other writers' rows.
+        """
+        rows = np.concatenate([np.empty(0, dtype=_ROW)] + [
+            _read_rows(index_path, i) for i, (_, index_path) in enumerate(pairs)
+        ])
+        return cls([p for p, _ in pairs], _compact(rows) if compact else rows)
 
     # -- queries -----------------------------------------------------------
     @property

@@ -18,6 +18,7 @@ Example
 >>> _ = sim.spawn(worker("a", 2.0))
 >>> _ = sim.spawn(worker("b", 1.0))
 >>> sim.run()
+2.0
 >>> log
 [(1.0, 'b'), (2.0, 'a')]
 """

@@ -7,9 +7,9 @@ number).  No wall-clock or nondeterministic source is consulted anywhere.
 
 from __future__ import annotations
 
-import heapq
 import re
 import time as _time
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional, Union
 
 from repro.obs import current as _current_obs
@@ -124,7 +124,7 @@ class Process:
     to :meth:`Simulator.run` if nobody is waiting.
     """
 
-    __slots__ = ("sim", "gen", "name", "done_event", "_started")
+    __slots__ = ("sim", "gen", "name", "done_event")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -136,7 +136,6 @@ class Process:
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.done_event = Event(sim, name=f"done:{self.name}")
-        self._started = False
 
     @property
     def finished(self) -> bool:
@@ -152,15 +151,12 @@ class Process:
 
     def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
         try:
-            if exc is not None:
-                target = self.gen.throw(exc)
+            if exc is None:
+                target = self.gen.send(value)  # send(None) also starts the generator
             else:
-                target = self.gen.send(value) if self._started else next(self.gen)
-                self._started = True
+                target = self.gen.throw(exc)
         except StopIteration as stop:
             self.sim.processes_finished += 1
-            if self.sim._c_finished is not None:
-                self.sim._c_finished.value += 1.0
             self.done_event.succeed(stop.value)
             return
         except BaseException as err:
@@ -171,7 +167,16 @@ class Process:
                 self.done_event._exc = err
                 self.sim._crash(err)
             return
-        self._dispatch(target)
+        # the two hot targets by exact type; _dispatch handles the rest
+        kind = type(target)
+        if kind is Timeout:
+            sim = self.sim
+            heappush(sim._heap, (sim.now + target.delay, sim._seq, self._step, (target.value,)))
+            sim._seq += 1
+        elif kind is Acquire:
+            target.resource._enqueue(self)
+        else:
+            self._dispatch(target)
 
     def _dispatch(self, target: Any) -> None:
         sim = self.sim
@@ -196,13 +201,17 @@ class Simulator:
     ----------
     trace:
         Optional callable ``(time, label)`` invoked for every dispatched
-        event; useful when debugging model behaviour.
+        event; useful when debugging model behaviour.  The label is the
+        callback's qualname: a process resuming from a timeout, its first
+        step or a resource grant shows as ``Process._step``, one resuming
+        from an event or another process as ``Process._resume_from_event``.
     obs:
         Optional :class:`repro.obs.Observability` bundle; defaults to the
         globally active one (``repro.obs.current()``).  When set, the
-        kernel counts scheduled/dispatched events and process lifecycle
-        into the bundle's registry, and resources built on this
-        simulator record wait/service histograms.
+        kernel mirrors its scheduled/dispatched event and process
+        lifecycle totals into the bundle's registry at the end of every
+        :meth:`run` slice, and resources built on this simulator record
+        wait/service histograms.
     profile:
         Kernel profiler knob (flight-recorder pillar 2).  ``False``
         (default) disables it; ``True`` measures the wall time of every
@@ -259,27 +268,25 @@ class Simulator:
         self._profile_every = 1 if profile is True else int(profile)
         self._profile_acc: dict[str, list] = {}  # label -> [samples, wall_s]
         self.obs = obs if obs is not None else _current_obs()
+        # registry counters mirroring four of the totals, and the totals
+        # they last received: topped up once per run slice, not per event
+        self._mirrors: tuple = ()
+        self._mirrored = (0, 0, 0, 0)
+        self._g_now = None
         if self.obs is not None:
             m = self.obs.metrics
-            self._c_scheduled = m.counter("sim.events_scheduled")
-            self._c_dispatched = m.counter("sim.events_dispatched")
-            self._c_spawned = m.counter("sim.processes_spawned")
-            self._c_finished = m.counter("sim.processes_finished")
+            self._mirrors = tuple(m.counter(f"sim.{k}") for k in (
+                "events_scheduled", "events_dispatched", "processes_spawned",
+                "processes_finished",
+            ))
             self._g_now = m.gauge("sim.now")
-        else:
-            self._c_scheduled = self._c_dispatched = None
-            self._c_spawned = self._c_finished = self._g_now = None
 
     # -- scheduling --------------------------------------------------
     def _schedule(self, time: float, fn: Callable, *args: Any) -> None:
         if time < self.now:
             raise SimulationError(f"cannot schedule in the past ({time} < {self.now})")
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
+        heappush(self._heap, (time, self._seq, fn, args))
         self._seq += 1
-        if len(self._heap) > self.max_heap_depth:
-            self.max_heap_depth = len(self._heap)
-        if self._c_scheduled is not None:
-            self._c_scheduled.value += 1.0
 
     def call_at(self, time: float, fn: Callable, *args: Any) -> None:
         """Schedule a plain callback at an absolute simulated time."""
@@ -357,8 +364,6 @@ class Simulator:
         proc = Process(self, gen, name=name)
         self._schedule(self.now, proc._step)
         self.processes_spawned += 1
-        if self._c_spawned is not None:
-            self._c_spawned.value += 1.0
         return proc
 
     def _crash(self, exc: BaseException) -> None:
@@ -371,43 +376,67 @@ class Simulator:
 
         Returns the final simulation time.  An exception that escapes a
         process with no waiter aborts the run and is re-raised here.
+
+        The loop is picked once per call: the lean one pops, sets
+        ``now``, calls and checks for a crash; the instrumented one, used
+        only when ``trace=`` or ``profile=`` is set, also reports or times
+        each event.  The heap's peak depth is sampled before every pop.
         """
         heap = self._heap
-        dispatched = self._c_dispatched
-        profile_every = self._profile_every
+        stop = float("inf") if until is None else until
+        peak = self.max_heap_depth
         n_disp = 0
         wall0 = _time.perf_counter()
         self.run_slices += 1
         try:
-            while heap:
-                time, _seq, fn, args = heap[0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                heapq.heappop(heap)
-                self.now = time
-                if self._trace is not None:
-                    self._trace(time, getattr(fn, "__qualname__", repr(fn)))
-                if dispatched is not None:
-                    dispatched.value += 1.0
-                n_disp += 1
-                if profile_every and n_disp % profile_every == 0:
-                    t0 = _time.perf_counter()
+            if self._trace is None and not self._profile_every:
+                while heap:
+                    if len(heap) > peak:
+                        peak = len(heap)
+                    if heap[0][0] > stop:
+                        break
+                    time, _seq, fn, args = heappop(heap)
+                    self.now = time
+                    n_disp += 1
                     fn(*args)
-                    self._profile_note(fn, _time.perf_counter() - t0)
-                else:
-                    fn(*args)
-                if self._crashed is not None:
-                    exc, self._crashed = self._crashed, None
-                    raise exc
+                    if self._crashed is not None:
+                        exc, self._crashed = self._crashed, None
+                        raise exc
             else:
-                if until is not None and until > self.now:
-                    self.now = until
+                trace, every = self._trace, self._profile_every
+                while heap:
+                    if len(heap) > peak:
+                        peak = len(heap)
+                    if heap[0][0] > stop:
+                        break
+                    time, _seq, fn, args = heappop(heap)
+                    self.now = time
+                    n_disp += 1
+                    if trace is not None:
+                        trace(time, getattr(fn, "__qualname__", repr(fn)))
+                    if every and n_disp % every == 0:
+                        t0 = _time.perf_counter()
+                        fn(*args)
+                        self._profile_note(fn, _time.perf_counter() - t0)
+                    else:
+                        fn(*args)
+                    if self._crashed is not None:
+                        exc, self._crashed = self._crashed, None
+                        raise exc
+            # stopped short of a pending event, or drained before ``until``
+            if until is not None and (heap or until > self.now):
+                self.now = until
         finally:
             self.events_dispatched += n_disp
+            self.max_heap_depth = max(peak, len(heap))
             self.run_wall_s += _time.perf_counter() - wall0
-            # keep the gauges truthful even when a crashed process re-raises
+            # keep the mirrors truthful even when a crashed process re-raises
             if self._g_now is not None:
+                totals = (self._seq, self.events_dispatched, self.processes_spawned,
+                          self.processes_finished)
+                for counter, total, last in zip(self._mirrors, totals, self._mirrored):
+                    counter.value += total - last
+                self._mirrored = totals
                 self._g_now.set(self.now)
                 g = self.obs.metrics.gauge("sim.max_heap_depth")
                 if self.max_heap_depth > g.value:

@@ -46,12 +46,11 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._queue: Deque[Process] = deque()
+        self._queue: Deque[tuple[Process, float]] = deque()  # (waiter, enqueued at)
         self._busy_time = 0.0
         self._last_change = 0.0
         self.total_grants = 0
         self.total_wait = 0.0
-        self._enqueue_times: dict[int, float] = {}
         obs = getattr(sim, "obs", None)
         self._metrics = obs.metrics if obs is not None else None
         self._h_wait = self._h_service = None
@@ -63,26 +62,26 @@ class Resource:
 
     # internal protocol used by Acquire dispatch
     def _enqueue(self, proc: Process) -> None:
-        self._enqueue_times[id(proc)] = self.sim.now
         if self.in_use < self.capacity:
-            self._grant(proc)
+            self._grant(proc, self.sim.now)
         else:
-            self._queue.append(proc)
+            self._queue.append((proc, self.sim.now))
 
-    def _grant(self, proc: Process) -> None:
-        self._accumulate()
+    def _grant(self, proc: Process, enqueued_at: float) -> None:
+        sim = self.sim
+        now = sim.now
+        self._busy_time += self.in_use * (now - self._last_change)
+        self._last_change = now
         self.in_use += 1
         self.total_grants += 1
-        wait = self.sim.now - self._enqueue_times.pop(id(proc), self.sim.now)
+        wait = now - enqueued_at
         self.total_wait += wait
         if self._metrics is not None:
             if self._h_wait is None:
                 self._h_wait = self._histogram("wait_s")
             self._h_wait.observe(wait)
-        grant = Grant(self, self.sim.now)
-        ev = Event(self.sim, name=f"grant:{self.name}")
-        ev._add_waiter(proc)
-        ev.succeed(grant)
+        # the waiter resumes with its grant token: one heap entry at now
+        sim._schedule(now, proc._step, Grant(self, now))
 
     def release(self, grant: Grant) -> None:
         if grant.resource is not self:
@@ -94,22 +93,20 @@ class Resource:
             if self._h_service is None:
                 self._h_service = self._histogram("service_s")
             self._h_service.observe(self.sim.now - grant.acquired_at)
-        self._accumulate()
-        self.in_use -= 1
-        if self._queue and self.in_use < self.capacity:
-            self._grant(self._queue.popleft())
-
-    def _accumulate(self) -> None:
         now = self.sim.now
         self._busy_time += self.in_use * (now - self._last_change)
         self._last_change = now
+        self.in_use -= 1
+        if self._queue and self.in_use < self.capacity:
+            self._grant(*self._queue.popleft())
 
     def utilization(self) -> float:
         """Time-averaged fraction of capacity in use since t=0."""
-        self._accumulate()
-        if self.sim.now == 0.0:
+        now = self.sim.now
+        if now == 0.0:
             return 0.0
-        return self._busy_time / (self.sim.now * self.capacity)
+        busy = self._busy_time + self.in_use * (now - self._last_change)
+        return busy / (now * self.capacity)
 
     def mean_wait(self) -> float:
         return self.total_wait / self.total_grants if self.total_grants else 0.0
@@ -121,6 +118,7 @@ class Store:
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
         self.name = name
+        self._get_name = f"get:{name}"
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self.total_put = 0
@@ -134,7 +132,7 @@ class Store:
 
     def get(self) -> Event:
         """Return an event that fires with the next item (FIFO)."""
-        ev = Event(self.sim, name=f"get:{self.name}")
+        ev = Event(self.sim, name=self._get_name)
         if self._items:
             ev.succeed(self._items.popleft())
         else:

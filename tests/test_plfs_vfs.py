@@ -1,7 +1,7 @@
 """End-to-end tests of PLFS handles, the VFS facade, and flatten."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.plfs import Plfs, flatten
 from repro.plfs.filehandle import WriteClock
@@ -220,6 +220,8 @@ def test_write_clock_monotone():
         max_size=50,
     )
 )
+# w1's contiguous pair (stamps 1, 3) must not compact over w0's stamp-2 byte
+@example(writes=[(1, 362, b"\x01" + bytes(19)), (0, 362, b"\x00"), (1, 382, b"\x00")])
 @settings(max_examples=60, deadline=None)
 def test_plfs_matches_shadow_file(tmp_path_factory, writes):
     """PLFS read-back equals a brute-force shadow byte array under any

@@ -1,7 +1,7 @@
 """Cross-cutting property-based tests on system invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.erasure import ReedSolomon
 from repro.pfs import PFSParams, SimPFS
@@ -112,6 +112,53 @@ def test_index_compaction_is_semantically_invisible(tmp_path_factory, writes):
 
 
 @st.composite
+def interleaved_writes(draw):
+    """(writer, offset, payload) triples where a writer often continues
+    its previous write, so its records form runs compaction can merge."""
+    ends, writes = {}, []
+    for _ in range(draw(st.integers(1, 30))):
+        writer = draw(st.integers(0, 2))
+        if writer in ends and draw(st.booleans()):
+            off = ends[writer]
+        else:
+            off = draw(st.integers(0, 120))
+        data = draw(st.binary(min_size=1, max_size=30))
+        writes.append((writer, off, data))
+        ends[writer] = off + len(data)
+    return writes
+
+
+# writer 1's two contiguous records enclose writer 0's stamp-2 overwrite
+@example(writes=[(1, 362, b"\x01" + bytes(19)), (0, 362, b"\x00"), (1, 382, b"\x00")])
+@given(writes=interleaved_writes())
+@settings(max_examples=60, deadline=None)
+def test_index_compaction_is_invisible_across_writers(tmp_path_factory, writes):
+    """Under any interleaving of writers, every byte reads back the same
+    with and without compaction — including a writer whose contiguous run
+    spans another writer's overwrite of it."""
+    fs = Plfs(tmp_path_factory.mktemp("cmpw"))
+    fs.create("/f")
+    handles = {}
+    for writer, off, data in writes:
+        h = handles.get(writer)
+        if h is None:
+            h = handles[writer] = fs.open_write("/f", writer=f"w{writer}", create=False)
+        h.write(data, off)
+    for h in handles.values():
+        h.close()
+    c = Container.open(fs._resolve("/f"))
+    pairs = [(dp.data_path, dp.index_path) for dp in c.iter_droppings()]
+    out = {}
+    for compact in (False, True):
+        gi = GlobalIndex.from_droppings(pairs, compact=compact)
+        out[compact], files = bytearray(gi.eof), {}
+        gi.read_into(out[compact], 0, files)
+        for f in files.values():
+            f.close()
+    assert out[True] == out[False]
+
+
+@st.composite
 def droppings(draw):
     """Per writer: compress flag, records (offset, payload) and the offsets
     of zero-length records appended to its index dropping by hand."""
@@ -135,22 +182,45 @@ def droppings(draw):
 
 
 def _compact_reference(recs):
-    """The compaction rule as the sequential loop it was first written as.
+    """The compaction rule as plain loops over every dropping's records.
 
     A record is (offset, length, physical, stored, stamp, dropping, payload).
+    Neighbours of one dropping join into a run when both are raw and the
+    second continues the first logically, physically and in time; a run
+    is then cut between the two members whose stamps enclose the stamp of
+    any record outside it that overlaps its bytes.
     """
+    runs = []
+    for p, e in zip([None] + recs, recs):
+        if p is not None and (
+            p[5] == e[5] and p[3] == p[1] and e[3] == e[1]
+            and p[0] + p[1] == e[0] and p[2] + p[1] == e[2] and p[4] <= e[4]
+        ):
+            runs[-1].append(e)
+        else:
+            runs.append([e])
     out = []
-    for e in recs:
-        if out:
-            p = out[-1]
-            if (
-                p[5] == e[5] and p[3] == p[1] and e[3] == e[1]
-                and p[0] + p[1] == e[0] and p[2] + p[1] == e[2] and p[4] <= e[4]
-            ):
-                out[-1] = (p[0], p[1] + e[1], p[2], p[1] + e[1], e[4], p[5], p[6] + e[6])
-                continue
-        out.append(e)
-    return out
+    for run in runs:
+        lo, end = run[0][0], run[-1][0] + run[-1][1]
+        cuts = set()
+        for f in recs:
+            overlaps = max(lo, f[0]) < min(end, f[0] + f[1])
+            if overlaps and run[0][4] <= f[4] <= run[-1][4] and all(f is not r for r in run):
+                cuts.update(j for j in range(len(run) - 1) if run[j][4] <= f[4] <= run[j + 1][4])
+        piece = [run[0]]
+        for j, e in enumerate(run[1:]):
+            if j in cuts:
+                out.append(piece)
+                piece = []
+            piece.append(e)
+        out.append(piece)
+    return [
+        p[0] if len(p) == 1 else (
+            p[0][0], sum(r[1] for r in p), p[0][2], sum(r[1] for r in p), p[-1][4], p[0][5],
+            b"".join(r[6] for r in p),
+        )
+        for p in out
+    ]
 
 
 @given(writers=droppings(), compact=st.booleans(), window=st.tuples(
@@ -179,27 +249,31 @@ def test_global_index_matches_byte_owner_oracle(tmp_path_factory, writers, compa
             for stamp, off in enumerate(empties, start=2):
                 f.write(pack_entry(off, 0, 0, float(stamp)))
 
-    pairs, recs = [], []
+    pairs, raw = [], []
     for d, dp in enumerate(c.iter_droppings()):
         pairs.append((dp.data_path, dp.index_path))
         stored = dp.data_path.read_bytes()
-        mine = []
         for (lo, ln, po, sl, ts), data in zip(
             struct.iter_unpack("<qqqqd", dp.index_path.read_bytes()), payloads[dp.writer]
         ):
             assert ln == len(data)
             blob = stored[po:po + sl]
             assert (zlib.decompress(blob) if sl != ln else blob) == data
-            mine.append((lo, ln, po, sl, ts, d, data))
-        recs.extend(_compact_reference(mine) if compact else mine)
+            raw.append((lo, ln, po, sl, ts, d, data))
+    recs = _compact_reference(raw) if compact else raw
+
+    def last_writer(recs):
+        owner = [None] * size
+        expect = bytearray(size)
+        for rec in sorted(recs, key=lambda r: r[4]):     # stable: ties keep dropping order
+            lo, ln, data = rec[0], rec[1], rec[6]
+            owner[lo:lo + ln] = [rec] * ln
+            expect[lo:lo + ln] = data
+        return owner, expect
 
     size = max(lo + ln for lo, ln, *_ in recs if ln)   # an empty record maps no byte
-    owner = [None] * size
-    expect = bytearray(size)
-    for rec in sorted(recs, key=lambda r: r[4]):     # stable: ties keep dropping order
-        lo, ln, data = rec[0], rec[1], rec[6]
-        owner[lo:lo + ln] = [rec] * ln
-        expect[lo:lo + ln] = data
+    owner, expect = last_writer(recs)
+    assert expect == last_writer(raw)[1]     # the reference compaction hides itself too
 
     gi = GlobalIndex.from_droppings(pairs, compact=compact)
     gi._map.check_invariants()

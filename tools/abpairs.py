@@ -15,6 +15,12 @@ Usage: ``python tools/abpairs.py PARENT_DIR CHANGE_DIR --workload real_io
 list or ``all``: the workloads run one after the other, one table each.  The
 exit status reports only whether every run of every workload completed with
 correct output; no timing is gated.
+
+``--layers`` runs one ``--trace 1`` child per side instead and prints the
+per-layer metrics side by side: an exact count (unit ``count``, ``B`` or
+``B/MiB``, the rule of ``perf/run.py --compare``) reads ``identical`` or
+``DIFFERS``, any other metric shows change/parent.  A differing count also
+fails the exit status.  Layers neither side ran are left out.
 """
 
 import argparse
@@ -26,12 +32,16 @@ from pathlib import Path
 
 BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 MIN_PAIRS = 10      # fewer pairs than this support no claim either way
+EXACT_UNITS = ("count", "B", "B/MiB")   # same seed, same value (perf/run.py)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One driver-mode run in ``checkout``; its end-to-end metric values."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One driver-mode run in ``checkout``; its metric values.
+
+    ``trace`` 0 gives the end-to-end metrics, 1 the per-layer ones.
+    """
     cmd = [*BENCHMARK["command"], "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr.strip()}")
@@ -109,6 +119,33 @@ def run_pairs(workload: str, sides: dict, pairs: int, seconds: float, seed: int)
     return True
 
 
+def run_layers(workload: str, sides: dict, seconds: float, seed: int) -> bool:
+    """One traced run per side and the per-layer table; False if a run went
+    wrong or an exact count differs."""
+    got = {}
+    for side in ("parent", "change"):
+        try:
+            got[side] = run_once(sides[side], workload, seed, seconds, trace=1)
+        except (RuntimeError, ValueError, KeyError) as exc:
+            print(f"{workload} {side}: {exc}", file=sys.stderr)
+            return False
+    print(f"{workload} seed {seed}: per-layer metrics, one --trace 1 run x {seconds:g} s per side")
+    print(f"{'metric':<34} {'unit':<6} {'parent':>14} {'change':>14}  change/parent")
+    differs = 0
+    for m in BENCHMARK["per_layer"]:
+        p, c = (got[side].get(m["name"], 0) for side in ("parent", "change"))
+        if p == 0 and c == 0:
+            continue
+        if m["unit"] in EXACT_UNITS:
+            note = "identical" if p == c else "DIFFERS"
+            differs += p != c
+        else:
+            note = f"x{c / p:.3f}" if p else "n/a"
+        p, c = (f"{v:,}" if isinstance(v, int) else num(v) for v in (p, c))
+        print(f"{m['name']:<34} {m['unit']:<6} {p:>14} {c:>14}  {note}")
+    return differs == 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_dir", type=Path)
@@ -118,6 +155,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--layers", action="store_true",
+                    help="one --trace 1 run per side: per-layer metrics side by side")
     args = ap.parse_args()
 
     sides = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
@@ -125,7 +164,10 @@ def main() -> int:
     for i, workload in enumerate(args.workload):
         if i:
             print()
-        ok &= run_pairs(workload, sides, args.pairs, args.seconds, args.seed)
+        if args.layers:
+            ok &= run_layers(workload, sides, args.seconds, args.seed)
+        else:
+            ok &= run_pairs(workload, sides, args.pairs, args.seconds, args.seed)
     return 0 if ok else 1
 
 
