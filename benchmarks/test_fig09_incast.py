@@ -5,24 +5,20 @@ RTO idles the link); a ~1 ms minimum RTO restores goodput; at thousands
 of senders on 10GE the timeout must also be randomized.
 """
 
-import numpy as np
-
 from benchmarks.conftest import print_table
 from repro.net import ONE_GE, IncastConfig, simulate_incast
 
 
 def run_fig9():
     counts = [1, 2, 4, 8, 16, 32, 47]
-    legacy = [simulate_incast(ONE_GE, n, np.random.default_rng(100 + n), n_blocks=10) for n in counts]
+    legacy = [simulate_incast(ONE_GE, n, n_blocks=10) for n in counts]
     fixed_cfg = IncastConfig(min_rto_s=1e-3)
-    fixed = [simulate_incast(fixed_cfg, n, np.random.default_rng(100 + n), n_blocks=10) for n in counts]
+    fixed = [simulate_incast(fixed_cfg, n, n_blocks=10) for n in counts]
     # 10GE extreme fan-in: fixed vs jittered 1ms RTO
     base10 = dict(link_Bps=1250e6, rtt_s=40e-6, buffer_pkts=64, sru_bytes=8 * 1024, min_rto_s=1e-3)
     n_big = 1024
-    ten_fixed = simulate_incast(IncastConfig(name="10GE", **base10), n_big, np.random.default_rng(5), n_blocks=5)
-    ten_jit = simulate_incast(
-        IncastConfig(name="10GE", rto_jitter=True, **base10), n_big, np.random.default_rng(5), n_blocks=5
-    )
+    ten_fixed = simulate_incast(IncastConfig(name="10GE", **base10), n_big, n_blocks=5)
+    ten_jit = simulate_incast(IncastConfig(name="10GE", rto_jitter=True, **base10), n_big, n_blocks=5)
     return counts, legacy, fixed, ten_fixed, ten_jit
 
 

@@ -5,14 +5,12 @@ from repro.net.fabric import Topology
 from repro.net.feedback import FabricFeedback
 from repro.net.fluid import FluidEngine, burst_stalls, windowed_rounds
 from repro.net.incast import (
-    FaninResult,
     IncastConfig,
     IncastResult,
     ONE_GE,
     TEN_GE,
     simulate_incast,
     sweep_senders,
-    synchronized_fanin,
 )
 from repro.net.params import (
     FabricParams,
@@ -26,7 +24,6 @@ from repro.net.port import SwitchPort
 __all__ = [
     "FabricFeedback",
     "FabricParams",
-    "FaninResult",
     "FluidEngine",
     "IDEAL_FABRIC",
     "IncastConfig",
@@ -41,6 +38,5 @@ __all__ = [
     "fluid_shared_Bps",
     "simulate_incast",
     "sweep_senders",
-    "synchronized_fanin",
     "windowed_rounds",
 ]

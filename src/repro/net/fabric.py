@@ -15,16 +15,17 @@ cross-rack flow traverses a *path* of ports — source leaf uplink →
 destination leaf downlink → destination edge port — each with its own
 finite buffer, drops, RTOs, blackouts, and tenant attribution.
 
-Three drive modes share the same :class:`SwitchPort` semantics:
+Two drive modes share the same :class:`SwitchPort` semantics:
 
 =============  =======================================================
-process mode   :meth:`Topology.to_server` / :meth:`Topology.to_client`
+exact mode     :meth:`Topology.to_server` / :meth:`Topology.to_client`
                return generators; admitted packets occupy the port buffer
                until the port's link (a capacity-1 resource) drains
                them; a flow finding the buffer full suffers a full-
                window loss and sits out a (min-)RTO before retrying.
                This is ``FabricParams.mode="exact"``, the default,
-               pinned bit-identical by the goldens.
+               pinned bit-identical by the goldens; Fig 9's incast
+               study (:mod:`repro.net.incast`) rides it too.
 fluid mode     ``FabricParams.mode="fluid"`` routes the same
                :meth:`Topology.to_server` / :meth:`~Topology.to_client`
                calls through :class:`repro.net.fluid.FluidEngine`:
@@ -33,13 +34,11 @@ fluid mode     ``FabricParams.mode="fluid"`` routes the same
                bursts stall-probed through the window dynamics.  ~100×
                fewer simulator events; matches exact-mode curves within
                the tolerance stated in ``docs/performance.md``.
-round mode     :func:`repro.net.incast.synchronized_fanin` advances
-               whole RTT rounds with vectorized window/drop/RTO
-               bookkeeping — exactly the published incast model.
 =============  =======================================================
 
-All randomness (drop selection, RTO jitter) flows through an explicit
-``numpy.random.Generator`` so two same-seed runs are identical.
+Drops are deterministic tail drops; the only randomness is RTO jitter,
+drawn from the topology's ``numpy.random.Generator`` seeded from
+``FabricParams.seed``, so two same-seed runs are identical.
 """
 
 from __future__ import annotations

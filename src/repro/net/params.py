@@ -150,8 +150,9 @@ class FabricParams:
     max_cwnd: congestion-window growth cap, in packets (default 64).
         Both modes (fluid: steady-state round count — the surcharge's
         ``rtt/max_cwnd`` per-packet pacing term).
-    seed: seed for drop sampling and RTO jitter (default 42).  Exact
-        mode only — fluid consumes no randomness.
+    seed: seed for RTO jitter (default 42), the only randomness: exact
+        mode tail-drops deterministically.  Exact mode only — fluid
+        consumes no randomness.
     leafspine: optional :class:`LeafSpineParams`; ``None`` (the
         default) keeps the flat single-switch topology.  Both modes
         (fluid flows hold shares on every hop of the spine path).
@@ -166,7 +167,7 @@ class FabricParams:
     rto_jitter: bool = False             # randomize the timeout
     init_cwnd: int = 2
     max_cwnd: int = 64
-    seed: int = 42                       # drop sampling + RTO jitter
+    seed: int = 42                       # RTO jitter
     leafspine: Optional[LeafSpineParams] = None
     mode: str = "exact"                  # "exact" | "fluid"
 

@@ -17,9 +17,9 @@ class SwitchPort:
     Tracks occupancy (packets admitted but not yet drained) and exposes
     per-port ``repro.obs`` metrics.  With ``sim`` given, the port also
     owns a capacity-1 :class:`~repro.sim.Resource` modelling the output
-    link, so process-mode transfers serialize through it; without a
-    simulator the port is a pure accounting object for the round-based
-    engine.
+    link, so exact-mode transfers serialize through it; without a
+    simulator the port is geometry and accounting only — what
+    :meth:`safe_fanin` sizing and the feedback tests need.
 
     **Label scheme / authority.**  :attr:`occupancy_pkts` and the
     ``total_*`` attributes (:attr:`total_drops_pkts`,

@@ -129,7 +129,7 @@ def test_pnfs_block_layout_always_commits():
 
 # ------------------------------------------------------------- misc models
 def test_incast_efficiency_bounded():
-    res = simulate_incast(ONE_GE, 8, np.random.default_rng(0), n_blocks=3)
+    res = simulate_incast(ONE_GE, 8, n_blocks=3)
     assert 0.0 < res.efficiency(ONE_GE) <= 1.0
 
 

@@ -9,10 +9,11 @@ from repro import obs as obs_mod
 from repro.net import (
     FabricParams,
     IDEAL_FABRIC,
+    IncastConfig,
     Link,
     SwitchPort,
     Topology,
-    synchronized_fanin,
+    simulate_incast,
 )
 from repro.sim import Simulator
 
@@ -244,90 +245,25 @@ def test_zero_byte_transfer_is_free():
     assert topo.client_port(3).occupancy_pkts == 0
 
 
-# -- the round-based engine --------------------------------------------
-
-def test_fanin_needs_finite_buffer():
-    with pytest.raises(ValueError):
-        synchronized_fanin(
-            Link(125e6), IDEAL_FABRIC, 4, 32 * 1024, np.random.default_rng(0)
-        )
-    with pytest.raises(ValueError):
-        synchronized_fanin(
-            Link(125e6), FabricParams(buffer_pkts=64), 0, 32 * 1024,
-            np.random.default_rng(0),
-        )
-
+# -- synchronized fan-in on one shared port -----------------------------
 
 def test_fanin_collapse_and_fix():
-    link = Link(125e6)
-    legacy = FabricParams(buffer_pkts=64, min_rto_s=0.2)
-    fixed = FabricParams(buffer_pkts=64, min_rto_s=1e-3)
-    rng = np.random.default_rng
-    small = synchronized_fanin(link, legacy, 4, 32 * 1024, rng(1), n_blocks=10)
-    big = synchronized_fanin(link, legacy, 64, 32 * 1024, rng(1), n_blocks=10)
-    cured = synchronized_fanin(link, fixed, 64, 32 * 1024, rng(1), n_blocks=10)
+    legacy = IncastConfig(buffer_pkts=64, min_rto_s=0.2)
+    fixed = IncastConfig(buffer_pkts=64, min_rto_s=1e-3)
+    small = simulate_incast(legacy, 4, n_blocks=10)
+    big = simulate_incast(legacy, 64, n_blocks=10)
+    cured = simulate_incast(fixed, 64, n_blocks=10)
     assert big.timeouts > 0
     assert big.goodput_Bps < small.goodput_Bps / 10.0
     assert cured.goodput_Bps > 10.0 * big.goodput_Bps
 
 
-def test_fanin_port_accounting():
-    with obs_mod.use() as o:
-        link = Link(125e6)
-        fab = FabricParams(name="t", buffer_pkts=64, min_rto_s=0.2)
-        port = SwitchPort(link, fab, obs=o, name="fanin")
-        res = synchronized_fanin(
-            link, fab, 64, 32 * 1024, np.random.default_rng(1), n_blocks=5, port=port
-        )
-        snap = o.metrics.snapshot()
-        assert snap["counters"]["net.fabric.timeouts{port=fanin}"] == res.timeouts
-        assert snap["counters"]["net.fabric.drops_pkts{port=fanin}"] > 0
-        assert snap["counters"]["net.fabric.bytes{port=fanin}"] == res.total_bytes
-
-
-def test_fanin_single_flow_never_times_out():
-    # one flow's window (≤ max_cwnd = buffer) can never overflow the round
-    # capacity, so a lone sender sees zero drops and zero RTOs
-    fab = FabricParams(buffer_pkts=64, max_cwnd=64)
-    res = synchronized_fanin(
-        Link(125e6), fab, 1, 256 * 1024, np.random.default_rng(3), n_blocks=4
-    )
-    assert res.timeouts == 0
-    assert res.repeat_timeouts == 0
-    assert res.goodput_Bps > 0
-
-
-def test_fanin_buffer_deeper_than_demand():
-    # 8 flows × 2 packets of SRU = 16 packets total, against a 512-pkt
-    # buffer: the whole burst fits in one round's capacity, every round
-    fab = FabricParams(buffer_pkts=512)
-    res = synchronized_fanin(
-        Link(125e6), fab, 8, 3000, np.random.default_rng(4), n_blocks=3
-    )
-    assert res.timeouts == 0
-    sru_pkts = 3000 // fab.pkt_bytes
-    assert res.total_bytes == 3 * 8 * sru_pkts * fab.pkt_bytes
-
-
-def test_fanin_window_cap_of_one():
-    # init_cwnd = max_cwnd = 1: each flow injects exactly one packet per
-    # round forever; 4 flows against round capacity >= buffer(4)+line
-    # never overflow, but progress is one SRU packet per flow per round
-    fab = FabricParams(buffer_pkts=4, init_cwnd=1, max_cwnd=1)
-    res = synchronized_fanin(
-        Link(125e6), fab, 4, 15000, np.random.default_rng(5), n_blocks=2
-    )
-    assert res.timeouts == 0
-    sru_pkts = 15000 // fab.pkt_bytes
-    # lower bound on rounds: sru_pkts rounds per block, one RTT each
-    assert res.elapsed_s >= 2 * sru_pkts * fab.rtt_s
-
-
 def test_fanin_bytes_conserved():
-    fab = FabricParams(buffer_pkts=64)
-    res = synchronized_fanin(
-        Link(125e6), fab, 8, 32 * 1024, np.random.default_rng(5), n_blocks=3
-    )
-    sru_pkts = (32 * 1024) // fab.pkt_bytes
-    assert res.total_bytes == 3 * 8 * sru_pkts * fab.pkt_bytes
-    assert res.goodput_Bps * res.elapsed_s == pytest.approx(res.total_bytes)
+    cfg = IncastConfig(name="c", buffer_pkts=64, sru_bytes=32 * 1024)
+    with obs_mod.use() as o:
+        res = simulate_incast(cfg, 8, n_blocks=3)
+        port_bytes = o.metrics.snapshot()["counters"]["net.fabric.bytes{port=incast.c.8}"]
+    sru_pkts = (32 * 1024) // cfg.pkt_bytes
+    assert port_bytes == 3 * 8 * sru_pkts * cfg.pkt_bytes
+    assert res.goodput_Bps * res.block_time_s * 3 == pytest.approx(port_bytes)
+

@@ -270,12 +270,10 @@ def test_ior_real_records_spans_under_obs(tmp_path):
 
 
 def test_incast_metrics_recorded():
-    import numpy as np
-
     from repro.net.incast import ONE_GE, simulate_incast
 
     with obs.use(obs.Observability()) as o:
-        simulate_incast(ONE_GE, 8, np.random.default_rng(1), n_blocks=2)
+        simulate_incast(ONE_GE, 8, n_blocks=2)
     snap = o.metrics.snapshot()
     assert "net.incast.goodput_Bps{config=1GE,servers=8}" in snap["gauges"]
     assert "net.incast.timeouts{config=1GE,servers=8}" in snap["counters"]
