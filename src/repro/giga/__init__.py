@@ -10,17 +10,14 @@ extra hops.
 
 - :mod:`repro.giga.mapping` — the pure split-history bitmap and hash
   mapping (the heart of the design),
-- :mod:`repro.giga.cluster` — a DES model of servers + clients running a
-  Metarates-style create storm, measuring throughput scaling and the cost
-  of stale-client correction (the Fig-7 demo; stays the default path),
 - :mod:`repro.giga.service` — the sharded metadata *service*: a bank of
   servers on the shared fabric with consistent-hash shard ownership,
-  client-cached shard maps, a membership coordinator, and failover
-  (docs/metadata.md walks through it).
+  client-cached shard maps, a membership coordinator, and failover.
+  Its ``run_storm`` is the Metarates-style create storm behind Fig 7
+  and X20 (docs/metadata.md walks through it).
 """
 
 from repro.giga.mapping import GigaBitmap, MAX_RADIX, hash_name
-from repro.giga.cluster import GigaCluster, GigaClusterResult, run_metarates
 from repro.giga.service import (
     Coordinator,
     GigaService,
@@ -35,8 +32,6 @@ from repro.giga.service import (
 __all__ = [
     "Coordinator",
     "GigaBitmap",
-    "GigaCluster",
-    "GigaClusterResult",
     "GigaService",
     "MAX_RADIX",
     "MetadataServer",
@@ -45,6 +40,5 @@ __all__ = [
     "ShardMap",
     "StormResult",
     "hash_name",
-    "run_metarates",
     "run_storm",
 ]

@@ -1,9 +1,8 @@
 """Sharded GIGA+ metadata *service*: a bank of servers on the fabric.
 
-:mod:`repro.giga.cluster` models the Fig-7 demo — one authoritative
-directory, servers picked round-robin by partition index, no membership
-and no failures.  This module grows that into the metadata plane the
-ROADMAP asks for:
+The one GIGA+ model in the repo: :func:`run_storm` is the Metarates-style
+create storm behind Fig 7 and the scaling/failover storm behind X20.
+The pieces:
 
 * **Consistent-hash shard ownership** (:class:`ShardMap`): GIGA+
   partitions map onto metadata servers through a virtual-node hash
@@ -47,7 +46,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.faults.errors import RetriesExhausted
+from repro.faults.errors import RetriesExhausted, ServerDown
 from repro.faults.server import FaultableServer
 from repro.giga.mapping import GigaBitmap, hash_name
 from repro.net.fabric import Topology
@@ -60,8 +59,7 @@ from repro.sim.stats import Counter
 class ServiceParams:
     """Knobs of the sharded metadata service (all seconds / bytes / counts).
 
-    ``op_service_s`` / ``per_entry_move_s`` / ``client_rpc_s`` match the
-    Fig-7 demo defaults so the two models are comparable.  ``vnodes``
+    The defaults are the ones Fig 7 and X20 run with.  ``vnodes``
     sets ring smoothness (more virtual nodes → flatter shard spread);
     ``failover_detect_s`` is the heartbeat timeout before the
     coordinator marks a server offline (or back online);
@@ -267,8 +265,7 @@ class GigaService:
     """The sharded directory: authoritative state + servers + coordinator.
 
     The split-history bitmap and the entry buckets model the replicated
-    metadata journal every server can reach — the same modeling choice
-    as :class:`~repro.giga.cluster.GigaCluster`, which is what makes the
+    metadata journal every server can reach, which is what makes the
     stale-bitmap hint authoritative and the redirect bound logarithmic.
     *Ownership* (who may serve a partition) is the sharded part, and is
     always derived from the coordinator's current ring.
@@ -433,6 +430,36 @@ class GigaService:
             span.finish(at=self.sim.now)
         return payload, hops
 
+    def client_readdir(self, client: ServiceClient, ctx=None):
+        """Directory scan: visit every partition's owner, merging pages.
+
+        GIGA+ readdir is inherently a sweep over all partitions (the price
+        of hash partitioning); the client first syncs its bitmap and map
+        so it enumerates the complete, current partition set.  A down
+        owner raises :class:`~repro.faults.errors.ServerDown` rather than
+        return a partial listing.  Returns the sorted entry names.
+        """
+        p = self.params
+        client.bitmap.merge_from(self.bitmap)
+        client.map = self.coordinator.map
+        names: list[str] = []
+        for partition in client.bitmap.partitions():
+            owner = client.map.owner(partition)
+            yield from self._rpc(client.client_id, owner, ctx)
+            srv = self.servers[owner]
+            if not srv.up:
+                raise ServerDown(owner, self.sim.now)
+            grant = yield Acquire(srv.res)
+            bucket = self.entries.get(partition, {})
+            # one op plus per-entry marshaling cost
+            yield Timeout(
+                (p.op_service_s + len(bucket) * p.per_entry_move_s) * srv.slowdown
+            )
+            names.extend(bucket)
+            srv.res.release(grant)
+            self.counters.add("readdir_pages")
+        return sorted(names)
+
     def _rpc(self, client_id: int, server_idx: int, ctx=None):
         """One client→server network leg.
 
@@ -480,7 +507,7 @@ class GigaService:
                 )
 
 
-# -- the storm workload (X20) -------------------------------------------
+# -- the storm workload (Fig 7, X20) -----------------------------------
 @dataclass
 class StormResult:
     """Aggregate outcome of a create+lookup storm against the service."""

@@ -1,9 +1,9 @@
 """Keyed always-on counts for simulated components.
 
 :class:`Counter` is the one counting idiom of the simulated servers and
-services (``_StorageServer``, ``SimPFS``, ``GigaCluster``,
-``GigaService``, ``FaultableServer``); the model reads the local store,
-never its registry mirror.
+services (``_StorageServer``, ``SimPFS``, ``GigaService``,
+``FaultableServer``); the model reads the local store, never its
+registry mirror.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ GTC, NWChem and others; what matters to the storage system is each code's
 *access pattern* — N-1 strided vs segmented vs N-N, record sizes, and
 alignment.  These generators emit those patterns as plain
 ``pattern[rank] = [(logical_offset, nbytes), ...]`` lists consumed by the
-PLFS sim bridge, plus device-level sweeps (IOZone-like) and a metadata
-workload (UCAR Metarates-like) for GIGA+.
+PLFS sim bridge, plus device-level sweeps (IOZone-like).  The
+Metarates-style metadata storm lives with its model, in
+:func:`repro.giga.run_storm`.
 """
 
 from repro.workloads.patterns import (
@@ -32,21 +33,18 @@ from repro.workloads.checkpoint import (
     run_faulted_checkpoint,
 )
 from repro.workloads.s3d import S3DWeakScaling, predict_checkpoint_series
-from repro.workloads.metarates import MetaratesConfig, metarates_ops
 from repro.workloads.iozone import iozone_bandwidth_sweep, iozone_random_iops
 
 __all__ = [
     "APP_CATALOG",
     "AppProfile",
     "FaultedCheckpointResult",
-    "MetaratesConfig",
     "S3DWeakScaling",
     "app_pattern",
     "chombo_like",
     "flash_like",
     "iozone_bandwidth_sweep",
     "iozone_random_iops",
-    "metarates_ops",
     "n1_segmented",
     "n1_strided",
     "nn_private",

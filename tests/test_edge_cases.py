@@ -13,7 +13,6 @@ from repro.plfs import Plfs, PlfsMPIIO
 from repro.pnfs import NFSCluster
 from repro.pnfs.server import NFSParams
 from repro.sim import Simulator
-from repro.workloads import MetaratesConfig, metarates_ops
 
 
 # ------------------------------------------------------------- mpiio extras
@@ -147,12 +146,6 @@ def test_simpfs_zero_byte_write_and_read():
     sim.run()
     assert out["w"] == 0.0 and out["r"] == 0.0
     assert pfs.lookup("/f").size == 0
-
-
-def test_metarates_names_unique_across_clients():
-    ops = metarates_ops(MetaratesConfig(n_clients=5, files_per_client=20))
-    names = [n for client in ops for op, n in client if op == "create"]
-    assert len(names) == len(set(names)) == 100
 
 
 def test_sim_trace_hook_fires():

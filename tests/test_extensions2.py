@@ -6,66 +6,68 @@ import json
 import numpy as np
 import pytest
 
-from repro.giga import GigaBitmap, GigaCluster
-from repro.giga.cluster import GigaParams
+from repro.faults.errors import ServerDown
+from repro.giga import GigaService, ServiceParams
 from repro.replication import ReplicationConfig, simulate_replicated_run
 from repro.sim import Simulator
 
 
 # ------------------------------------------------------------- giga readdir
-def _populated_cluster(n_files=60, n_servers=4, threshold=10):
+def _populated_service(n_files=60, n_servers=4, threshold=10):
     sim = Simulator()
-    cluster = GigaCluster(sim, GigaParams(n_servers=n_servers, split_threshold=threshold))
-    bm = GigaBitmap()
+    service = GigaService(
+        sim, ServiceParams(n_servers=n_servers, split_threshold=threshold)
+    )
+    loader_client = service.client(0)
 
     def loader():
         for i in range(n_files):
-            yield from cluster.client_create(bm, f"f{i}")
+            yield from service.client_create(loader_client, f"f{i}")
 
     sim.spawn(loader())
     sim.run()
-    return sim, cluster
+    return sim, service
+
+
+def _readdir(sim, service):
+    """Run one readdir from a fresh (maximally stale) client."""
+    result = {}
+
+    def scanner():
+        result["names"] = yield from service.client_readdir(service.client(1))
+
+    sim.spawn(scanner())
+    sim.run()
+    return result["names"]
 
 
 def test_readdir_returns_all_entries():
-    sim, cluster = _populated_cluster()
-    result = {}
-
-    def scanner():
-        names = yield from cluster.client_readdir(GigaBitmap())
-        result["names"] = names
-
-    sim.spawn(scanner())
-    sim.run()
-    assert result["names"] == sorted(f"f{i}" for i in range(60))
-    assert cluster.counters["readdir_pages"] == len(cluster.bitmap)
+    sim, service = _populated_service()
+    assert _readdir(sim, service) == sorted(f"f{i}" for i in range(60))
+    assert service.counters["readdir_pages"] == len(service.bitmap)
 
 
 def test_readdir_visits_every_partition():
-    sim, cluster = _populated_cluster(n_files=100, threshold=8)
-    assert len(cluster.bitmap) > 4
-    result = {}
-
-    def scanner():
-        result["names"] = yield from cluster.client_readdir(GigaBitmap())
-
-    sim.spawn(scanner())
-    sim.run()
-    assert len(result["names"]) == 100
+    sim, service = _populated_service(n_files=100, threshold=8)
+    assert len(service.bitmap) > 4
+    assert len(_readdir(sim, service)) == 100
 
 
 def test_readdir_takes_time_proportional_to_partitions():
-    sim, cluster = _populated_cluster()
+    sim, service = _populated_service()
     t0 = sim.now
+    _readdir(sim, service)
+    min_expected = len(service.bitmap) * service.params.client_rpc_s
+    assert sim.now - t0 >= min_expected
 
-    def scanner():
-        yield from cluster.client_readdir(GigaBitmap())
 
-    sim.spawn(scanner())
-    sim.run()
-    elapsed = sim.now - t0
-    min_expected = len(cluster.bitmap) * cluster.params.client_rpc_s
-    assert elapsed >= min_expected
+def test_readdir_down_owner_raises_instead_of_partial_listing():
+    sim, service = _populated_service()
+    victim = service.map.owner(0)
+    service.servers[victim].crash()      # before the coordinator notices
+    with pytest.raises(ServerDown) as err:
+        _readdir(sim, service)
+    assert err.value.server == victim
 
 
 # ------------------------------------------------------------- correlated failures

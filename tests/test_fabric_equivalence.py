@@ -231,35 +231,32 @@ def test_routed_pnfs_scaling_matches_pre_refactor_golden():
         assert row["pnfs_MBps"] == pnfs_gold
 
 
-# -- giga Fig-7 metarates: the default non-service path stays pinned ------
+# -- giga Fig-7 create storm: the service path Fig 7 runs stays pinned -----
 #
-# Captured from the tree immediately before the sharded metadata service
-# (repro.giga.service) and the useful_split no-op guard landed, for
-# run_metarates(ns, n_clients=8, files_per_client=150):
-# (makespan_s, total_creates, splits, entries_moved, addressing_errors,
-#  partitions) per server count.  The service is strictly additive — the
-# Fig-7 demo must stay bit-identical.
+# run_storm(ns, 8, 150, lookups_per_client=0):
+# (makespan_s, creates, splits, entries_moved, redirects_create,
+#  partitions) per server count, on the default ServiceParams.
 
 GOLDEN_GIGA_METARATES = {
-    1: (0.3650320000000056, 1200, 7, 708, 0, 8),
-    4: (0.17854799999999793, 1200, 7, 707, 17, 8),
-    8: (0.1678519999999981, 1200, 7, 707, 34, 8),
+    1: (0.37216400000000577, 1200, 28, 916, 0, 29),
+    4: (0.16160799999999848, 1200, 28, 916, 72, 29),
+    8: (0.14274799999999893, 1200, 28, 918, 79, 29),
 }
 
 
 @pytest.mark.parametrize("n_servers", sorted(GOLDEN_GIGA_METARATES))
-def test_giga_metarates_matches_pre_service_golden(n_servers):
-    """The Fig-7 create storm under the default (non-service) path must
-    equal the pre-refactor capture ==."""
-    from repro.giga import run_metarates
+def test_giga_fig7_storm_matches_golden(n_servers):
+    """The Fig-7 create storm on the default service must equal the
+    capture ==."""
+    from repro.giga import run_storm
 
-    res = run_metarates(n_servers, n_clients=8, files_per_client=150)
+    res = run_storm(n_servers, 8, 150, lookups_per_client=0)
     gold = GOLDEN_GIGA_METARATES[n_servers]
     assert res.makespan_s == gold[0]
-    assert res.total_creates == gold[1]
+    assert res.creates == gold[1]
     assert res.splits == gold[2]
     assert res.entries_moved == gold[3]
-    assert res.addressing_errors == gold[4]
+    assert res.redirects_create == gold[4]
     assert res.partitions == gold[5]
 
 

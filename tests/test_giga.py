@@ -1,10 +1,16 @@
-"""Tests for GIGA+ mapping and cluster simulation."""
+"""Tests for GIGA+ mapping and the metadata service under a create storm."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.giga import GigaBitmap, GigaCluster, MAX_RADIX, hash_name, run_metarates
-from repro.giga.cluster import GigaParams
+from repro.giga import (
+    GigaBitmap,
+    GigaService,
+    MAX_RADIX,
+    ServiceParams,
+    hash_name,
+    run_storm,
+)
 from repro.sim import Simulator
 
 
@@ -133,8 +139,8 @@ def test_cluster_overflow_of_one_sided_partition_is_noop():
     split into an empty sibling; now the overflow is a counted no-op and
     no empty partition appears."""
     sim = Simulator()
-    cluster = GigaCluster(sim, GigaParams(n_servers=1, split_threshold=2))
-    bm = GigaBitmap()
+    service = GigaService(sim, ServiceParams(n_servers=1, split_threshold=2))
+    client_state = service.client(0)
     # names whose hashes all have bit 0 clear: a split can never separate
     # them at radix 0
     names = [f"g{i}" for i in range(200) if hash_name(f"g{i}") & 1 == 0][:5]
@@ -142,15 +148,15 @@ def test_cluster_overflow_of_one_sided_partition_is_noop():
 
     def client():
         for n in names:
-            yield from cluster.client_create(bm, n)
+            yield from service.client_create(client_state, n)
 
     sim.spawn(client())
     sim.run()
-    cluster.check_invariants()
-    assert cluster.counters["splits_skipped"] > 0
-    assert cluster.counters["splits"] == 0
-    assert len(cluster.bitmap) == 1                      # no empty sibling
-    assert all(bucket for p, bucket in cluster.entries.items() if p != 0)
+    service.check_invariants()
+    assert service.counters["splits_skipped"] > 0
+    assert service.counters["splits"] == 0
+    assert len(service.bitmap) == 1                      # no empty sibling
+    assert all(bucket for p, bucket in service.entries.items() if p != 0)
 
 
 def test_hash_name_stable_and_spread():
@@ -159,27 +165,30 @@ def test_hash_name_stable_and_spread():
     assert len(hashes) > 10  # decent low-bit spread
 
 
-# ------------------------------------------------------------- cluster
+# ------------------------------------------------------------- service storm
 def test_cluster_create_and_lookup():
     sim = Simulator()
-    cluster = GigaCluster(sim, GigaParams(n_servers=2, split_threshold=5))
-    bm = GigaBitmap()
+    service = GigaService(sim, ServiceParams(n_servers=2, split_threshold=5))
+    client_state = service.client(0)
+    found = {}
 
     def client():
         for i in range(30):
-            yield from cluster.client_create(bm, f"file{i}")
+            yield from service.client_create(client_state, f"file{i}")
+        for name in [f"file{i}" for i in range(30)] + ["missing"]:
+            found[name], _hops = yield from service.client_lookup(client_state, name)
 
     sim.spawn(client())
     sim.run()
-    cluster.check_invariants()
-    assert all(cluster.lookup(f"file{i}") for i in range(30))
-    assert not cluster.lookup("missing")
-    assert cluster.counters["splits"] > 0
+    service.check_invariants()
+    assert all(found[f"file{i}"] for i in range(30))
+    assert not found["missing"]
+    assert service.counters["splits"] > 0
 
 
-def test_run_metarates_counts():
-    res = run_metarates(n_servers=4, n_clients=4, files_per_client=100)
-    assert res.total_creates == 400
+def test_storm_counts():
+    res = run_storm(4, 4, 100, lookups_per_client=0)
+    assert res.creates == 400
     assert res.partitions >= 2
     assert res.creates_per_s > 0
     assert res.entries_moved > 0
@@ -187,19 +196,19 @@ def test_run_metarates_counts():
 
 def test_throughput_scales_with_servers():
     """Fig 7's right panel: creates/sec grows with server count."""
-    r1 = run_metarates(n_servers=1, n_clients=8, files_per_client=150)
-    r8 = run_metarates(n_servers=8, n_clients=8, files_per_client=150)
+    r1 = run_storm(1, 8, 150, lookups_per_client=0)
+    r8 = run_storm(8, 8, 150, lookups_per_client=0)
     assert r8.creates_per_s > 2.0 * r1.creates_per_s
 
 
 def test_addressing_errors_bounded():
-    """Stale clients are corrected within a few hops, and the error count
-    stays a small fraction of operations (the GIGA+ claim)."""
-    res = run_metarates(n_servers=8, n_clients=8, files_per_client=200)
-    assert res.addressing_errors > 0      # clients did start stale
-    assert res.errors_per_create < 0.3    # but corrections are rare overall
+    """Stale clients are corrected within a few hops, and the redirect
+    count stays a small fraction of operations (the GIGA+ claim)."""
+    res = run_storm(8, 8, 200, lookups_per_client=0)
+    assert res.redirects_create > 0          # clients did start stale
+    assert res.mean_redirects_create < 0.3   # but corrections are rare overall
 
 
 def test_single_server_no_addressing_errors():
-    res = run_metarates(n_servers=1, n_clients=4, files_per_client=50)
-    assert res.addressing_errors == 0
+    res = run_storm(1, 4, 50, lookups_per_client=0)
+    assert res.redirects_create == 0

@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 from repro.devices import Disk, device_model
 from repro.workloads import (
     APP_CATALOG,
-    MetaratesConfig,
     S3DWeakScaling,
     app_pattern,
     chombo_like,
     flash_like,
     iozone_bandwidth_sweep,
     iozone_random_iops,
-    metarates_ops,
     n1_segmented,
     n1_strided,
     nn_private,
@@ -142,27 +140,6 @@ def test_predict_checkpoint_series_linear_model():
 def test_predict_requires_two_points():
     with pytest.raises(ValueError):
         predict_checkpoint_series([WeakScalingPoint(1, 1.0, 0.0)])
-
-
-# ----------------------------------------------------------------- metarates
-def test_metarates_ops_shape():
-    cfg = MetaratesConfig(n_clients=3, files_per_client=5)
-    ops = metarates_ops(cfg)
-    assert len(ops) == 3
-    assert all(len(o) == 5 for o in ops)
-    assert cfg.total_files == 15
-    names = {name for client in ops for _, name in client}
-    assert len(names) == 15  # all unique
-
-
-def test_metarates_with_stats():
-    ops = metarates_ops(MetaratesConfig(n_clients=1, files_per_client=2, stat_after_create=True))
-    assert [op for op, _ in ops[0]] == ["create", "stat", "create", "stat"]
-
-
-def test_metarates_invalid():
-    with pytest.raises(ValueError):
-        metarates_ops(MetaratesConfig(n_clients=0))
 
 
 # ----------------------------------------------------------------- iozone
