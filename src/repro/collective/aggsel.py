@@ -30,8 +30,9 @@ alone:
   carrying background traffic.
 
 The ideal fabric degenerates gracefully: the fan-in cap becomes
-unbounded and the plan differs from the layout-aware scheme only in its
-server-column (rather than contiguous) domains.
+unbounded.  The count rule still applies, because phase-1 flows are
+windowed flows on every fabric and a sub-window slice pays round trips
+whatever the buffer size.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def select_aggregators(
         else:
             slices = [total_bytes // (n_ranks * n)]
         thinnest = min(slices) if slices else 0
-        if fab.ideal or thinnest >= floor_bytes:
+        if thinnest >= floor_bytes:
             break
         n = max(floor_n, n // 2)
     domains, groups = resolve(n)

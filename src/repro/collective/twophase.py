@@ -13,13 +13,12 @@ Three file-domain schemes share one engine (see docs/collective.md):
   throttled to the per-port safe fan-in so it cannot trigger the
   incast RTO path.
 
-Under the default ideal fabric, phase 1 is the historical flat
-``nbytes / shuffle_Bps`` timeout and results are bit-identical with the
-pre-fabric engine (pinned by goldens in
-``benchmarks/test_x17_fabric_collective.py``).  Under a finite-buffer
-fabric, phase 1 becomes real rank→aggregator flows through each
-aggregator's switch port and phase 2 rides the existing
-:class:`repro.pfs.system.SimPFS` fabric path.
+On every fabric, phase 1 is rank→aggregator windowed flows through each
+aggregator's switch port (:meth:`repro.net.fabric.Topology.to_client`),
+and phase 2 rides the :class:`repro.pfs.system.SimPFS` fabric path.
+Infinite buffers mean no drops, not a different formula; the ideal-
+fabric makespans are pinned by goldens in
+``benchmarks/test_x17_fabric_collective.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.collective.aggsel import AggregatorPlan, select_aggregators, shuffle_matrix
 from repro.pfs.params import PFSParams
 from repro.pfs.system import SimPFS
-from repro.sim import Acquire, Resource, Simulator, Timeout
+from repro.sim import Acquire, Resource, Simulator
 from repro.workloads.patterns import Pattern, n1_strided
 
 #: Supported file-domain schemes, least to most infrastructure-aware.
@@ -48,16 +47,15 @@ class CollectiveConfig:
     record_bytes: bytes per rank per step (default ``37 KiB`` —
         deliberately unaligned with every stripe unit).
     steps: write steps per rank (default 4).
-    shuffle_Bps: flat phase-1 interconnect bandwidth in B/s used by the
-        ideal-fabric path (default 125 MB/s, 1GE); a finite-buffer
-        fabric replaces this scalar with real per-port flows.
+
+    Phase 1 moves bytes at the PFS's ``client_nic_Bps`` through the
+    aggregator's switch port; there is no separate shuffle bandwidth.
     """
 
     n_ranks: int = 16
     n_aggregators: int = 4
     record_bytes: int = 37 * 1024     # unaligned on purpose
     steps: int = 4
-    shuffle_Bps: float = 1e9 / 8      # phase-1 interconnect bandwidth
 
     def pattern(self) -> Pattern:
         return n1_strided(self.n_ranks, self.record_bytes, self.steps)
@@ -143,14 +141,11 @@ def run_collective_write(
 
     ``scheme`` selects among :data:`SCHEMES`.
 
-    Phase 1: with the (default) ideal fabric each aggregator absorbs its
-    domain's bytes in one flat ``nbytes / shuffle_Bps`` interval — the
-    historical arithmetic, bit for bit.  With finite ``fabric.
-    buffer_pkts`` every rank→aggregator transfer is a real windowed flow
-    converging on the aggregator's switch port; the fabric-aware scheme
-    additionally throttles concurrent senders per port to the plan's
-    safe fan-in, while fabric-blind schemes launch all ranks at once
-    (the incast).
+    Phase 1: every rank→aggregator transfer is a windowed flow
+    converging on the aggregator's switch port, whatever the buffer
+    size.  The fabric-aware scheme throttles concurrent senders per port
+    to the plan's safe fan-in (unbounded on an infinite buffer), while
+    fabric-blind schemes launch all ranks at once (the incast).
 
     Phase 2: each aggregator writes its file domain in collective-
     buffer-sized chunks through :class:`~repro.pfs.system.SimPFS` —
@@ -207,7 +202,7 @@ def run_collective_write(
         agg_clients = list(plan.aggregator_clients)
     else:
         agg_clients = list(range(n_agg))
-    sends = None if fab.ideal else shuffle_matrix(config.pattern(), domains)
+    sends = shuffle_matrix(config.pattern(), domains)
     obs = sim.obs
     root = ctx = None
     if obs is not None:
@@ -238,15 +233,15 @@ def run_collective_write(
             )
             p1 = obs.tracer.start("collective.phase1", parent=asp, at=sim.now)
         # phase 1: gather the domain's bytes from the ranks
-        if fab.ideal:
-            yield Timeout(nbytes / config.shuffle_Bps)
-        elif sends[g]:
+        if sends[g]:
             limit = min(cap, len(sends[g])) if cap else len(sends[g])
             # pace each admitted flow to its share of the port buffer so
             # the concurrent windows fit the buffer at once — without
             # this, admission control alone still tail-drops as soon as
-            # TCP grows the windows past init_cwnd
-            win = max(1, fab.buffer_pkts // limit) if cap else None
+            # TCP grows the windows past init_cwnd; an infinite buffer
+            # has no share to pace to
+            paced = cap and fab.buffer_pkts is not None
+            win = max(1, fab.buffer_pkts // limit) if paced else None
             sem = Resource(sim, capacity=limit, name=f"agg{g}.shuffle")
 
             def sender(nb: int):
@@ -280,11 +275,10 @@ def run_collective_write(
         sim.spawn(aggregator(g, extents), name=f"agg{g}")
     sim.run()
     drops = rtos = 0
-    if not fab.ideal:
-        for g in range(n_agg):
-            port = topo.client_port(agg_clients[g])
-            drops += port.total_drops_pkts
-            rtos += port.total_timeouts
+    for g in range(n_agg):
+        port = topo.client_port(agg_clients[g])
+        drops += port.total_drops_pkts
+        rtos += port.total_timeouts
     if root is not None:
         root.finish(at=sim.now)
     return CollectiveResult(

@@ -3,37 +3,43 @@
 Network costs are *not* modelled here: each backend only knows where a
 chunk's bytes live (:meth:`replicas_of`) and what a read of it entails
 (:meth:`read_plan` — which server streams, how much software overhead,
-whether one disk bounds the stream).  The transfer itself is priced by
-the shared fabric (:mod:`repro.net.fabric`): ideal-fabric reads use
-:func:`repro.net.params.fluid_shared_Bps` / :class:`repro.net.params.Link`
-arithmetic (bit-identical with the historical inline math), finite-buffer
-fabrics route the bytes through :class:`repro.net.fabric.Topology`.
+whether one disk feeds the stream).  The transfer itself rides the
+cluster's shared fabric (:class:`repro.net.fabric.Topology`, built by
+:func:`repro.dfs.mapreduce._grep_topology`) at every buffer size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.params import FabricParams, IDEAL_FABRIC, Link, fluid_shared_Bps
+from repro.net.params import FabricParams, LeafSpineParams
 
 
 @dataclass(frozen=True)
 class ClusterSpec:
     """Compute/storage co-located cluster.
 
-    ``fabric`` selects the network model every transfer rides
-    (:data:`repro.net.params.IDEAL_FABRIC` keeps the historical
-    analytic arithmetic; finite ``buffer_pkts`` and/or ``leafspine``
-    make remote reads real windowed flows with congestion and drops).
+    ``fabric`` is the network every remote read rides.  The default is
+    two racks behind 2.8:1 oversubscribed leaves with infinite buffers:
+    each rack's spine uplink carries 8 × 112 MB/s / 2.8 = 320 MB/s, so
+    the two uplinks together are the cluster's 640 MB/s switch backplane.
+    Same-rack reads cross only the reader's edge port; finite
+    ``buffer_pkts`` add congestion and drops.
+
+    >>> from repro.dfs.mapreduce import _grep_topology
+    >>> from repro.sim import Simulator
+    >>> [p.link.bandwidth_Bps for p in _grep_topology(Simulator(), ClusterSpec()).leaf_up]
+    [320000000.0, 320000000.0]
     """
 
     n_nodes: int = 16
     disk_Bps: float = 80e6            # local disk streaming rate
     net_Bps: float = 112e6            # per-node NIC
-    backplane_Bps: float = 640e6      # switch aggregate (oversubscribed)
     rpc_s: float = 1e-3               # synchronous small-read round trip
     chunk_bytes: int = 64 << 20       # DFS chunk/stripe granularity
-    fabric: FabricParams = field(default=IDEAL_FABRIC)
+    fabric: FabricParams = field(default=FabricParams(
+        leafspine=LeafSpineParams(n_racks=2, oversubscription=2.8)
+    ))
 
 
 @dataclass(frozen=True)
@@ -48,9 +54,9 @@ class ReadPlan:
     overhead_s: software overhead per chunk read (synchronous RPC
         round trips — per-chunk for HDFS streaming, per-buffer for the
         naive shim).
-    disk_bound: a remote stream is additionally bounded by the serving
+    disk_bound: a remote read first streams the chunk off the serving
         node's one disk (HDFS whole-chunk reads); striped reads are fed
-        by many disks and are network-bound only.
+        by many disks, so only the network is charged.
     """
 
     local: bool
@@ -89,19 +95,6 @@ class HDFSBackend:
             overhead_s=self.spec.rpc_s,
             disk_bound=True,
         )
-
-    def read_time(self, chunk_id: int, node: int, n_remote_readers: int) -> float:
-        """Ideal-fabric read cost (overhead + fluid-shared serialization)."""
-        spec = self.spec
-        plan = self.read_plan(chunk_id, node)
-        if plan.local:
-            rate = spec.disk_Bps
-        else:
-            rate = min(
-                fluid_shared_Bps(spec.net_Bps, spec.backplane_Bps, n_remote_readers),
-                spec.disk_Bps,
-            )
-        return plan.overhead_s + Link(rate).transfer_s(spec.chunk_bytes)
 
 
 class PVFSShimBackend:
@@ -149,16 +142,6 @@ class PVFSShimBackend:
             server=node if local else replicas[0],
             overhead_s=n_bufs * spec.rpc_s,  # synchronous per-buffer round trips
             # striped read: many server disks feed it, so it is network-
-            # bound (NIC or contended backplane), not single-disk-bound
+            # bound (NIC or contended spine uplink), not single-disk-bound
             disk_bound=False,
         )
-
-    def read_time(self, chunk_id: int, node: int, n_remote_readers: int) -> float:
-        """Ideal-fabric read cost (overhead + fluid-shared serialization)."""
-        spec = self.spec
-        plan = self.read_plan(chunk_id, node)
-        if plan.local:
-            rate = spec.disk_Bps
-        else:
-            rate = fluid_shared_Bps(spec.net_Bps, spec.backplane_Bps, n_remote_readers)
-        return plan.overhead_s + Link(rate).transfer_s(spec.chunk_bytes)

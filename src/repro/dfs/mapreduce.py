@@ -1,14 +1,11 @@
 """A wave-scheduled MapReduce grep over a storage backend.
 
 The grep runs as a discrete-event simulation: one process per compute
-node works through its assigned chunks in order, and every remote read
-is priced by the shared network fabric.  Under the ideal fabric the
-per-node timeline is plain ``overhead + serialization`` arithmetic
-(bit-identical with the historical analytic model — the equivalence
-goldens pin it); under a finite-buffer or leaf/spine fabric the remote
-bytes ride :class:`repro.net.fabric.Topology` as real windowed flows,
-inheriting congestion, drops, port blackouts, and per-request damage
-attribution.
+node works through its assigned chunks in order.  Every remote read's
+bytes ride :class:`repro.net.fabric.Topology` as a windowed flow at
+every buffer size, so cross-rack reads share the spine uplinks they
+actually cross.  Finite buffers add congestion, drops, port blackouts
+and per-request damage attribution; infinite ones only mean no drops.
 """
 
 from __future__ import annotations
@@ -93,7 +90,6 @@ def _grep_topology(sim: Simulator, spec) -> Topology:
         n_servers=spec.n_nodes,
         client_link=Link(spec.net_Bps),
         server_link=Link(spec.net_Bps),
-        rpc_latency_s=spec.rpc_s,
         fabric=fab,
         name="dfs",
     )
@@ -117,33 +113,19 @@ def run_grep(job: GrepJob, backend, ctx=None) -> JobResult:
             "dfs.grep", backend=backend.name, **ctx.span_attrs()
         )
     spec = backend.spec
-    fab = spec.fabric
     assignments = _schedule(job, backend, spec)
     local_tasks = sum(1 for _, _, loc in assignments if loc)
     remote_tasks = len(assignments) - local_tasks
-    # remote-reader pressure estimated from the whole job's locality mix
-    concurrent_remote = max(
-        1, int(round(remote_tasks * spec.n_nodes / max(1, job.n_chunks)))
-    )
 
-    by_node: dict[int, list[tuple[int, bool]]] = {}
-    for chunk, node, local in assignments:
-        by_node.setdefault(node, []).append((chunk, local))
+    by_node: dict[int, list[int]] = {}
+    for chunk, node, _ in assignments:
+        by_node.setdefault(node, []).append(chunk)
 
     sim = Simulator()
     topo = _grep_topology(sim, spec)
 
-    def node_proc(node: int, tasks: list[tuple[int, bool]]):
-        for chunk, local in tasks:
-            if fab.ideal:
-                # overhead + fluid-shared serialization, priced by the
-                # backend through the fabric helpers (bit-identical with
-                # the historical inline arithmetic)
-                read = backend.read_time(
-                    chunk, node, concurrent_remote if not local else 1
-                )
-                yield Timeout(read + job.cpu_s_per_chunk)
-                continue
+    def node_proc(node: int, chunks: list[int]):
+        for chunk in chunks:
             plan = backend.read_plan(chunk, node)
             disk_s = spec.chunk_bytes / spec.disk_Bps
             if plan.local:
@@ -160,8 +142,8 @@ def run_grep(job: GrepJob, backend, ctx=None) -> JobResult:
                 )
             yield Timeout(job.cpu_s_per_chunk)
 
-    for node, tasks in by_node.items():
-        sim.spawn(node_proc(node, tasks), name=f"dfs.node{node}")
+    for node, chunks in by_node.items():
+        sim.spawn(node_proc(node, chunks), name=f"dfs.node{node}")
     makespan = sim.run()
 
     result = JobResult(

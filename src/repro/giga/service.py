@@ -275,6 +275,11 @@ class GigaService:
         self.sim = sim
         self.params = params or ServiceParams()
         p = self.params
+        if p.fabric.ideal and p.fabric.leafspine is not None:
+            raise ValueError(
+                "GigaService prices an infinite-buffer exact fabric flat, so the "
+                "leaf/spine shape would be ignored: set buffer_pkts or mode='fluid'"
+            )
         self.bitmap = GigaBitmap()
         self.entries: dict[int, dict[str, int]] = {0: {}}
         self.counters = Counter(

@@ -12,13 +12,7 @@ from repro.net.incast import (
     simulate_incast,
     sweep_senders,
 )
-from repro.net.params import (
-    FabricParams,
-    IDEAL_FABRIC,
-    LeafSpineParams,
-    Link,
-    fluid_shared_Bps,
-)
+from repro.net.params import FabricParams, IDEAL_FABRIC, LeafSpineParams, Link
 from repro.net.port import SwitchPort
 
 __all__ = [
@@ -35,7 +29,6 @@ __all__ = [
     "TEN_GE",
     "Topology",
     "burst_stalls",
-    "fluid_shared_Bps",
     "simulate_incast",
     "sweep_senders",
     "windowed_rounds",

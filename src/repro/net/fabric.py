@@ -6,8 +6,9 @@ output-buffer overflow*, not disks, capping striped-read goodput.
 :class:`Topology` is the one place the reproduction drives that
 network, as :class:`repro.sim.Simulator` processes: used by
 :class:`repro.pfs.SimPFS` for every client→server request and
-server→client reply, by :mod:`repro.dfs` for remote shuffle reads, and
-by :mod:`repro.pnfs` for NFS/pNFS writes.  Its parts live beside it:
+server→client reply, by :mod:`repro.dfs` for remote chunk reads, by
+:mod:`repro.pnfs` for NFS/pNFS writes, and by :mod:`repro.collective`
+for the phase-1 shuffle.  Its parts live beside it:
 configuration in :mod:`repro.net.params`, the port in
 :mod:`repro.net.port`, congestion sensing in :mod:`repro.net.feedback`,
 the fluid engine in :mod:`repro.net.fluid`.  On a leaf/spine fabric a
@@ -57,20 +58,17 @@ from repro.sim import Acquire, Resource, Simulator, Timeout
 class Topology:
     """Client NICs → switch → server NICs, driven as simulation processes.
 
-    The **ideal** configuration (``fabric.ideal``) reproduces the
-    historical inline arithmetic exactly:
+    Transfers route through per-destination :class:`SwitchPort` objects
+    via :meth:`to_server` (request payload converging on a server),
+    :meth:`to_client` (read replies converging on a client — the incast
+    path) and :meth:`to_port` (one explicit port): windowed injection,
+    tail drops, fast retransmit, full-window-loss RTOs.  An infinite
+    buffer changes no formula; it only means no drops.
 
-    * :meth:`client_xfer` — acquire the client's host NIC, hold it for
-      ``client_link.transfer_s(nbytes)``;
-    * :meth:`request_cost_s` — scalar ``rpc_latency + server-link
-      serialization`` for a server to absorb/emit one request.
-
-    With finite ``fabric.buffer_pkts``, transfers instead route through
-    per-destination :class:`SwitchPort` objects via :meth:`to_server`
-    (client request payload converging on a storage server) and
-    :meth:`to_client` (striped read replies converging on a client —
-    the incast path), with windowed injection, tail drops, fast
-    retransmit, and full-window-loss RTOs.
+    Two scalar helpers serve ``SimPFS``: :meth:`client_xfer` holds the
+    client's host NIC for ``client_link.transfer_s(nbytes)``, and
+    :meth:`request_cost_s` is the ``rpc_latency + server-link
+    serialization`` of its flat ideal-fabric server path.
 
     Parameters
     ----------
@@ -82,7 +80,7 @@ class Topology:
     rpc_latency_s: software round-trip overhead charged per request by
         :meth:`request_cost_s`, in seconds (default 0.0).
     fabric: the shared :class:`FabricParams` congestion knobs (default
-        :data:`IDEAL_FABRIC` — infinite buffers, no contention).
+        :data:`IDEAL_FABRIC` — infinite buffers, no drops).
     name: label prefix for observability output (default ``"fabric"``).
     """
 
@@ -207,12 +205,11 @@ class Topology:
     def set_port_down(self, server: int, down: bool) -> None:
         """Blackout/restore a *server* switch port (fault injection).
 
-        Only meaningful under a finite-buffer fabric: the windowed
-        process path finds ``free_pkts() == 0`` and RTO-loops until the
-        port restores.  Under the ideal fabric transfers never touch the
-        switch ports, so a blackout records the transition (metrics)
-        but costs nothing — crash the server itself to model
-        unreachability there.
+        A windowed flow finds ``free_pkts() == 0`` and RTO-loops until
+        the port restores.  On the ideal fabric ``SimPFS`` and
+        ``GigaService`` requests never touch the switch ports, so there
+        a blackout records the transition (metrics) but costs nothing —
+        crash the server itself to model unreachability.
 
         The hierarchy-aware sibling is :meth:`set_leaf_down`, which
         takes a whole rack's leaf switch (uplink, downlink, and every

@@ -6,9 +6,10 @@ million-client storm is simply not reachable that way.  This module is
 the coarse companion mode (``FabricParams.mode="fluid"``): flows are
 *rates*, not packets.  Each active flow holds a share of every
 :class:`~repro.net.port.SwitchPort` on its hop path, shares are the
-max-min fair allocation (progressive filling — the multi-bottleneck
-generalization of :func:`repro.net.params.fluid_shared_Bps`), and the
-simulator only wakes the engine when the allocation can change:
+max-min fair allocation (progressive filling: a flow keeps its edge
+rate until the flows sharing a hop oversubscribe it, and that hop is
+then divided fairly), and the simulator only wakes the engine when the
+allocation can change:
 
 * an **arrival batch** — every flow that starts at the same simulated
   instant joins in one wakeup (``Simulator.call_at_coalesced``, so ten

@@ -34,22 +34,6 @@ class Link:
         return self.latency_s + nbytes / self.bandwidth_Bps
 
 
-def fluid_shared_Bps(edge_Bps: float, aggregate_Bps: float, n_sharers: int) -> float:
-    """Effective per-flow bandwidth on an edge link behind a shared aggregate.
-
-    The fluid model every inline ``min(nic, backplane/share)`` expression
-    used to spell by hand: a flow gets its edge rate until ``n_sharers``
-    concurrent flows oversubscribe the aggregate (a backplane, a spine
-    uplink), at which point the aggregate is divided fairly.
-
-    >>> fluid_shared_Bps(112e6, 640e6, 4)
-    112000000.0
-    >>> fluid_shared_Bps(112e6, 640e6, 8)
-    80000000.0
-    """
-    return min(edge_Bps, aggregate_Bps / max(1, n_sharers))
-
-
 @dataclass(frozen=True)
 class LeafSpineParams:
     """Two-tier leaf/spine shape for :class:`~repro.net.fabric.Topology`.
@@ -104,10 +88,10 @@ class LeafSpineParams:
 class FabricParams:
     """Congestion knobs shared by every fabric consumer.
 
-    ``buffer_pkts=None`` with the default ``mode="exact"`` selects the
-    **ideal** fabric — infinite buffers, no contention — under which
-    :class:`~repro.net.fabric.Topology` reproduces plain
-    ``latency + nbytes/bandwidth`` arithmetic exactly.
+    ``buffer_pkts=None`` with the default ``mode="exact"`` is the
+    **ideal** fabric: infinite buffers, so flows queue for each port's
+    link but never drop (see :attr:`ideal` for its two flat-arithmetic
+    readers).
 
     Two drive modes share every knob (see ``docs/performance.md`` for
     the tolerance contract between them):
@@ -183,11 +167,15 @@ class FabricParams:
 
     @property
     def ideal(self) -> bool:
-        """True for the no-contention scalar-arithmetic path.
+        """True for an infinite-buffer exact-mode fabric.
 
-        Only the *exact* mode has an ideal shortcut: under
-        ``mode="fluid"`` even infinite buffers route through the fluid
-        engine, so concurrent flows share link bandwidth.
+        :class:`~repro.net.fabric.Topology` needs no such flag: its flows
+        just never drop on an infinite buffer.  Only ``SimPFS``'s storage
+        servers (Fig 8's ``==`` goldens) and ``GigaService._rpc``
+        (``meta_scrub``'s pinned ``giga.*`` counts) read it, to keep a
+        flat-arithmetic path that never enters the fabric; both reject a
+        leaf/spine shape here, which that path would ignore.  Fluid mode
+        is never ideal.
         """
         return self.buffer_pkts is None and self.mode == "exact"
 
@@ -203,5 +191,5 @@ class FabricParams:
         return base
 
 
-#: The degenerate no-contention configuration (the pre-fabric behaviour).
+#: Infinite buffers, exact mode, flat topology: no drops, ever.
 IDEAL_FABRIC = FabricParams()

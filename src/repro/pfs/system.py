@@ -212,6 +212,11 @@ class SimPFS:
         self.params = params
         self.security = security
         self.layout = StripeLayout(params.n_servers, params.stripe_unit)
+        if params.fabric.ideal and params.fabric.leafspine is not None:
+            raise ValueError(
+                "SimPFS prices an infinite-buffer exact fabric flat, so the "
+                "leaf/spine shape would be ignored: set buffer_pkts or mode='fluid'"
+            )
         # the network fabric: every client→server request and server→client
         # reply crosses it; ideal (default) reproduces flat NIC arithmetic
         self.topology = Topology(

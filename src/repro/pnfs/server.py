@@ -6,15 +6,13 @@ straight to the striped data servers.  The experiment the IETF pitch
 rests on: aggregate client bandwidth vs client count saturates at one
 server's NIC for NFS but scales with data servers for pNFS.
 
-All network costs are priced by the shared fabric
-(:class:`repro.net.fabric.Topology`): the NFS server's NIC is one named
-switch port (the funnel), each data server is an edge port.  Under the
-ideal fabric every transfer is ``rpc + serialization`` through the
-port's capacity-1 link resource — bit-identical with the historical
-inline arithmetic (the equivalence goldens pin it).  With finite
-buffers (and optionally a leaf/spine shape) the writes become real
-windowed flows with congestion, drops, RTOs, blackouts, and per-request
-damage attribution.
+All bytes ride the shared fabric (:class:`repro.net.fabric.Topology`)
+at every buffer size: the NFS server's NIC is one named switch port
+(the funnel), each data server is an edge port, and every chunk or
+extent is one RPC followed by a windowed flow through its port.
+Finite buffers (and optionally a leaf/spine shape) add congestion,
+drops, RTOs and blackouts; per-request damage attribution follows the
+flow's ``ctx`` either way.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ class NFSCluster:
             n_servers=params.n_data_servers,
             client_link=Link(params.client_nic_Bps),
             server_link=server_link,
-            rpc_latency_s=params.rpc_s,
             fabric=params.fabric,
             name="pnfs",
         )
@@ -98,15 +95,10 @@ class NFSCluster:
         pos = 0
         while pos < nbytes:
             take = min(chunk, nbytes - pos)
-            if p.fabric.ideal:
-                grant = yield Acquire(self.nfs_port.res)
-                yield Timeout(self.topology.request_cost_s(take))
-                self.nfs_port.res.release(grant)
-            else:
-                yield Timeout(p.rpc_s)
-                yield from self.topology.to_port(
-                    self.nfs_port, take, parent_span=span, ctx=ctx
-                )
+            yield Timeout(p.rpc_s)
+            yield from self.topology.to_port(
+                self.nfs_port, take, parent_span=span, ctx=ctx
+            )
             done = self.sim.event("nfs.commit")
             self.sim.spawn(backend_stage(take, done))
             pending.append(done)
@@ -134,17 +126,11 @@ class NFSCluster:
             take = min(chunk, nbytes - pos)
             self.layouts.check_io(layout, pos, take, write=True)
             for ext in layout.stripe.extents(pos, take, shift=layout.shift):
-                if p.fabric.ideal:
-                    port = self.topology.server_ports[ext.server]
-                    g = yield Acquire(port.res)
-                    yield Timeout(self.topology.request_cost_s(ext.length))
-                    port.res.release(g)
-                else:
-                    yield Timeout(p.rpc_s)
-                    yield from self.topology.to_server(
-                        ext.server, ext.length,
-                        parent_span=span, ctx=ctx, src_client=client,
-                    )
+                yield Timeout(p.rpc_s)
+                yield from self.topology.to_server(
+                    ext.server, ext.length,
+                    parent_span=span, ctx=ctx, src_client=client,
+                )
             pos += take
         if LayoutManager.commit_required(kind, extended_file=True):
             grant = yield Acquire(self.mds)

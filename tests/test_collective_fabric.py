@@ -2,9 +2,8 @@
 
 Covers the selection layer (``repro.collective.aggsel``) as pure unit
 math — server-column domains, shuffle matrices, the fan-in cap — and the
-``run_collective_write`` integration: bit-identity with the pre-fabric
-engine under the ideal fabric, and the zero-drop shuffle under a
-shallow-buffer fabric.
+``run_collective_write`` integration: a pinned ideal-fabric makespan,
+and the zero-drop shuffle under a shallow-buffer fabric.
 """
 
 import pytest
@@ -130,11 +129,13 @@ def test_select_count_shrinks_for_thin_slices():
         thin.total_bytes, thin.n_ranks, params, pattern=thin.pattern()
     )
     assert plan.n_aggregators == 4
-    # the same config on the ideal fabric keeps full parallelism
+    # the ideal fabric shrinks the same way: its shuffle slices are
+    # windowed flows too, and an infinite buffer makes a sub-window slice
+    # no cheaper than a finite one
     ideal = select_aggregators(
         thin.total_bytes, thin.n_ranks, PFSParams(n_servers=8), pattern=thin.pattern()
     )
-    assert ideal.n_aggregators == 8
+    assert ideal.n_aggregators == 4
 
 
 def test_select_aggregators_validation():
@@ -146,11 +147,11 @@ def test_select_aggregators_validation():
 
 # -- the rewritten engine ----------------------------------------------
 
-def test_ideal_fabric_bit_identical_golden():
-    """The rewritten engine reproduces the pre-fabric float sequence."""
+def test_ideal_fabric_collective_golden():
+    """The ideal-fabric float sequence, shuffle flows included, is pinned."""
     cfg = CollectiveConfig(n_ranks=16, n_aggregators=4)
     r = run_collective_write(cfg, GPFS_LIKE.with_servers(4), scheme="naive-even")
-    assert r.makespan_s == 0.08769074548458544  # exact — no tolerance
+    assert r.makespan_s == 0.08848774815125211  # exact — no tolerance
     assert r.scheme == "naive-even"
     assert r.n_aggregators == 4
 

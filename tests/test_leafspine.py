@@ -15,14 +15,9 @@ import math
 import pytest
 
 from repro.collective.aggsel import rack_aligned_groups, select_aggregators
-from repro.net import (
-    FabricFeedback,
-    FabricParams,
-    LeafSpineParams,
-    Link,
-    Topology,
-    fluid_shared_Bps,
-)
+from repro.giga.service import GigaService, ServiceParams
+from repro.net import FabricFeedback, FabricParams, LeafSpineParams, Link, Topology
+from repro.pfs import SimPFS
 from repro.pfs.params import PFSParams
 from repro.sim import Simulator
 
@@ -70,14 +65,6 @@ def test_leafspine_params_validation():
     with pytest.raises(ValueError):
         LeafSpineParams(clients_per_rack=0)
     assert LeafSpineParams().oversubscription == 1.0  # non-blocking default
-
-
-def test_fluid_shared_Bps_regimes():
-    # edge-bound until the sharers oversubscribe the aggregate
-    assert fluid_shared_Bps(112e6, 640e6, 1) == 112e6
-    assert fluid_shared_Bps(112e6, 640e6, 4) == 112e6
-    assert fluid_shared_Bps(112e6, 640e6, 8) == 80e6
-    assert fluid_shared_Bps(112e6, 640e6, 0) == 112e6  # max(1, n) guard
 
 
 # -- rack geometry ------------------------------------------------------
@@ -220,8 +207,8 @@ def test_windowed_cwnd_cap_one_multi_hop():
 
 
 def test_windowed_ideal_leafspine_costs_nothing_extra():
-    """Infinite buffers: routing metadata exists but consumers on the
-    ideal path never call to_server, and a direct call still drains."""
+    """Infinite buffers on a leaf/spine shape: a flow routes and drains
+    with no drops (the dfs grep's default fabric is this shape)."""
     sim = Simulator()
     fab = FabricParams(leafspine=LeafSpineParams(n_racks=2))
     topo = Topology(sim, n_servers=4, client_link=Link(NIC),
@@ -229,6 +216,21 @@ def test_windowed_ideal_leafspine_costs_nothing_extra():
     assert fab.ideal and topo.n_racks == 2
     elapsed = _run_flow(sim, topo.to_server(2, 3000, src_client=0))
     assert elapsed > 0.0 and topo.server_ports[2].total_drops_pkts == 0
+
+
+IDEAL_LEAFSPINE = FabricParams(leafspine=LeafSpineParams(n_racks=2))
+
+
+def test_simpfs_rejects_ideal_leafspine():
+    """SimPFS prices an ideal fabric flat; a leaf/spine shape there would
+    vanish without a word, so the constructor names the fix instead."""
+    with pytest.raises(ValueError, match="buffer_pkts or mode='fluid'"):
+        SimPFS(Simulator(), PFSParams(n_servers=4, fabric=IDEAL_LEAFSPINE))
+
+
+def test_giga_service_rejects_ideal_leafspine():
+    with pytest.raises(ValueError, match="buffer_pkts or mode='fluid'"):
+        GigaService(Simulator(), ServiceParams(n_servers=4, fabric=IDEAL_LEAFSPINE))
 
 
 def test_oversubscribed_uplink_is_the_bottleneck():
