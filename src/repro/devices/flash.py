@@ -11,7 +11,8 @@ slower").
 This module implements that mechanism directly:
 
 * page-mapped FTL (logical page -> physical page, numpy arrays),
-* one active append block; greedy min-valid-page victim selection for GC,
+* one open append block per write stream; greedy min-valid-page victim
+  selection for GC, which moves each live page into its own stream,
 * an overprovisioned physical space (spare blocks the user cannot address),
 * per-operation cost accounting, so write amplification and the sustained
   random-write cliff *emerge* rather than being curve-fit.
@@ -96,11 +97,13 @@ class FlashDevice:
         # physical page state and back-pointer to owning logical page
         self.page_state = np.full(n_phys_pages, FREE, dtype=np.int8)
         self.page_owner = np.full(n_phys_pages, -1, dtype=np.int64)
+        # write stream of each logical page's current version
+        self.page_stream = np.zeros(p.user_pages, dtype=np.int64)
         self.valid_per_block = np.zeros(p.physical_blocks, dtype=np.int64)
         self.erase_counts = np.zeros(p.physical_blocks, dtype=np.int64)
         self._free_blocks = list(range(p.physical_blocks - 1, 0, -1))
-        self._active_block = 0
-        self._active_next_page = 0
+        # stream -> [open head block, next slot]; other streams open lazily
+        self._heads: dict[int, list[int]] = {0: [0, 0]}
         # accounting
         self.time_s = 0.0
         self.host_pages_written = 0
@@ -110,23 +113,25 @@ class FlashDevice:
         self.gc_page_moves = 0
 
     # -- helpers -------------------------------------------------------
-    def _page_of(self, block: int, slot: int) -> int:
-        return block * self.params.pages_per_block + slot
-
-    def _take_free_page(self) -> int:
-        """Next programmable physical page, opening a new block if needed."""
-        p = self.params
-        if self._active_next_page >= p.pages_per_block:
+    def _program(self, lpage: int, stream: int) -> None:
+        """Program ``lpage`` at ``stream``'s head, opening a block if needed."""
+        pp = self.params.pages_per_block
+        head = self._heads.get(stream)
+        if head is None or head[1] >= pp:
             if not self._free_blocks:
                 raise RuntimeError("FTL out of free blocks; GC invariant broken")
-            self._active_block = self._free_blocks.pop()
-            self._active_next_page = 0
-        phys = self._page_of(self._active_block, self._active_next_page)
-        self._active_next_page += 1
-        return phys
+            head = self._heads[stream] = [self._free_blocks.pop(), 0]
+        block, slot = head
+        head[1] += 1
+        phys = block * pp + slot
+        self.page_state[phys] = VALID
+        self.page_owner[phys] = lpage
+        self.valid_per_block[block] += 1
+        self.mapping[lpage] = phys
+        self.flash_pages_programmed += 1
 
     def free_blocks(self) -> int:
-        """Free blocks available, counting the unused tail of the active one."""
+        """Erased blocks not yet opened; open heads' unused tails not counted."""
         return len(self._free_blocks)
 
     # -- host operations -------------------------------------------------
@@ -138,8 +143,8 @@ class FlashDevice:
         self.time_s += t
         return t
 
-    def write(self, lpage: int) -> float:
-        """4K logical-page write; may drag GC work. Returns elapsed cost."""
+    def write(self, lpage: int, stream: int = 0) -> float:
+        """4K logical-page write appended to ``stream``; may drag GC work. Returns cost."""
         self._check_lpage(lpage)
         t = 0.0
         p = self.params
@@ -149,14 +154,10 @@ class FlashDevice:
             self.page_state[old] = STALE
             self.page_owner[old] = -1
             self.valid_per_block[old // p.pages_per_block] -= 1
-        phys = self._take_free_page()
-        self.page_state[phys] = VALID
-        self.page_owner[phys] = lpage
-        self.valid_per_block[phys // p.pages_per_block] += 1
-        self.mapping[lpage] = phys
+        self.page_stream[lpage] = stream
+        self._program(lpage, stream)
         t += p.program_page_s
         self.host_pages_written += 1
-        self.flash_pages_programmed += 1
         if len(self._free_blocks) < p.gc_low_watermark_blocks:
             t += self._garbage_collect()
         self.time_s += t
@@ -200,7 +201,8 @@ class FlashDevice:
 
     def _pick_victim(self) -> int:
         valid = self.valid_per_block.copy()
-        valid[self._active_block] = np.iinfo(np.int64).max  # never the active block
+        for b, _ in self._heads.values():
+            valid[b] = np.iinfo(np.int64).max  # never an open head
         for b in self._free_blocks:
             valid[b] = np.iinfo(np.int64).max
         victim = int(np.argmin(valid))
@@ -220,15 +222,10 @@ class FlashDevice:
         owners = self.page_owner[block_slice]
         states = self.page_state[block_slice]
         for slot in np.nonzero(states == VALID)[0]:
-            lpage = owners[slot]
             t += p.read_page_s + p.program_page_s
-            phys = self._take_free_page()
-            self.page_state[phys] = VALID
-            self.page_owner[phys] = lpage
-            self.valid_per_block[phys // p.pages_per_block] += 1
-            self.mapping[lpage] = phys
+            lpage = owners[slot]
+            self._program(lpage, int(self.page_stream[lpage]))  # back into its own stream
             self.gc_page_moves += 1
-            self.flash_pages_programmed += 1
             self.pages_read += 1
         self.page_state[block_slice] = FREE
         self.page_owner[block_slice] = -1
@@ -298,7 +295,8 @@ class FlashDevice:
             raise IndexError(f"logical page {lpage} out of range")
 
     def check_invariants(self) -> None:
-        """Internal consistency: mappings bidirectional, counts coherent."""
+        """Internal consistency: mappings bidirectional, counts coherent,
+        and every block's valid pages belong to one stream."""
         mapped = self.mapping[self.mapping >= 0]
         assert len(np.unique(mapped)) == len(mapped), "two lpages share a physical page"
         assert np.all(self.page_state[mapped] == VALID)
@@ -310,3 +308,6 @@ class FlashDevice:
             mapped // pp, minlength=self.params.physical_blocks
         )
         assert np.array_equal(per_block, self.valid_per_block)
+        streams = self.page_stream[self.mapping >= 0]
+        pairs = np.unique(np.column_stack((mapped // pp, streams)), axis=0)
+        assert len(np.unique(pairs[:, 0])) == len(pairs), "a block mixes streams"

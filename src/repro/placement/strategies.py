@@ -5,12 +5,31 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def _stable_hash(*parts: int | str) -> int:
     key = ":".join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.md5(key).digest()[:8], "little")
+
+
+def straw_order(key: tuple[int | str, ...], candidates: Iterable[int],
+                weights: Sequence[float] | None = None) -> list[int]:
+    """Candidates by CRUSH straw length for ``key``, longest first.
+
+    Candidate ``c`` draws ``log(u) / weights[c]``, ``u`` in (0, 1] hashed
+    from ``(*key, c)``; ties go to the lower candidate.  Removing a
+    candidate leaves the others' order unchanged (minimal movement).
+
+    >>> order = straw_order(("obj", "rados"), range(8))
+    >>> sorted(order) == list(range(8))
+    True
+    """
+    def straw(c: int) -> float:
+        u = (_stable_hash(*key, c) + 1) / float(2**64 + 1)  # (0,1]
+        return math.log(u) / (1.0 if weights is None else weights[c])
+
+    return sorted(candidates, key=lambda c: (-straw(c), c))
 
 
 class PlacementStrategy(ABC):
@@ -58,16 +77,7 @@ class CrushLikePlacement(PlacementStrategy):
         return "crush-like"
 
     def place(self, file_id: int, chunk: int) -> int:
-        best_server = 0
-        best_straw = -math.inf
-        for s in range(self.n_servers):
-            h = _stable_hash(file_id, chunk, s)
-            u = (h + 1) / float(2**64 + 1)      # (0,1]
-            straw = math.log(u) / self.weights[s]  # max of log(u)/w ~ weighted
-            if straw > best_straw:
-                best_straw = straw
-                best_server = s
-        return best_server
+        return straw_order((file_id, chunk), range(self.n_servers), self.weights)[0]
 
 
 class RaidGroupPlacement(PlacementStrategy):

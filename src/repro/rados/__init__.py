@@ -6,10 +6,10 @@ PDSI workshop) keeps data available through OSD failures with
 CRUSH-placed primary-copy replication and automatic re-peering.
 
 :class:`repro.rados.cluster.RadosCluster` is a working in-memory
-implementation: an epoch-versioned OSD map, straw-hash placement over the
-*up* set (so placement adapts minimally to failures), primary-copy
-writes, failure/rejoin handling with recovery-data accounting, and
-degraded-mode reads.
+implementation: an epoch-versioned OSD map, straw placement over the *up*
+set (:func:`repro.placement.strategies.straw_order`, so it adapts
+minimally to failures), primary-copy writes, failure/rejoin handling
+with recovery-data accounting, and degraded-mode reads.
 """
 
 from repro.rados.cluster import OSDMap, RadosCluster, RadosError

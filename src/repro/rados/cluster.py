@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.placement.strategies import _stable_hash
+from repro.placement.strategies import straw_order
 
 
 class RadosError(RuntimeError):
@@ -27,15 +26,6 @@ class OSDMap:
             )
 
 
-def _straw_order(name: str, osds: frozenset[int]) -> list[int]:
-    """OSDs by straw length for this object: stable, minimal-movement."""
-    def straw(o: int) -> float:
-        h = _stable_hash(name, "rados", o)
-        u = (h + 1) / float(2**64 + 1)
-        return math.log(u)
-    return sorted(osds, key=lambda o: (-straw(o), o))
-
-
 class RadosCluster:
     """In-memory object store: writes replicate, failures re-peer."""
 
@@ -54,7 +44,7 @@ class RadosCluster:
     def acting_set(self, name: str) -> list[int]:
         """Primary-first replica set for an object under the current map."""
         self.osdmap.require_quorum(self.replicas)
-        return _straw_order(name, self.osdmap.up)[: self.replicas]
+        return straw_order((name, "rados"), self.osdmap.up)[: self.replicas]
 
     def primary(self, name: str) -> int:
         return self.acting_set(name)[0]

@@ -11,8 +11,8 @@ workload" (atime updates are tiny, hot, and rewritten constantly; letting
 them ride in data segments drags whole cold segments through the
 cleaner).
 
-- :mod:`repro.scmstore.store` — the log-structured object store over the
-  flash FTL with pluggable stream separation, segment cleaning, and the
+- :mod:`repro.scmstore.store` — the object store as a placement policy
+  over the flash FTL's append streams (its GC is the cleaner), and the
   workload driver for the cleaning-overhead experiment.
 """
 

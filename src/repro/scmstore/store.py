@@ -1,4 +1,4 @@
-"""Log-structured object store with stream separation and cleaning."""
+"""Log-structured object store: placement policy over the flash FTL's streams."""
 
 from __future__ import annotations
 
@@ -7,7 +7,15 @@ from typing import Hashable
 
 import numpy as np
 
-PLACEMENT_POLICIES = ("mixed", "split-meta", "split-all")
+from repro.devices.flash import FlashDevice, FlashParams
+
+#: each placement policy's append streams, in stream-id order
+STREAMS = {
+    "mixed": ("all",),
+    "split-meta": ("data", "hot"),  # meta+atime share the hot stream
+    "split-all": ("data", "meta", "atime"),
+}
+PLACEMENT_POLICIES = tuple(STREAMS)
 
 #: write kinds, hottest last
 KINDS = ("data", "meta", "atime")
@@ -30,12 +38,22 @@ class StoreStats:
 
 
 class ObjectStore:
-    """Segmented log with per-stream heads and greedy cleaning.
+    """Object store on a page-mapped FTL, one append stream per kind group.
 
     Every live datum is a *key* (e.g. ``('data', obj, block)`` or
-    ``('atime', obj)``) occupying one page; rewriting a key invalidates
-    its old page.  The placement policy controls how many separate log
-    streams exist and which kind goes where.
+    ``('atime', obj)``) occupying one logical page of :attr:`device`;
+    rewriting a key invalidates its old page.  The placement policy
+    controls how many append streams exist and which kind goes where.
+    Segments are the FTL's erase blocks and cleaning is its greedy GC,
+    which moves each live page back into the stream it was written to.
+
+    Capacity: the device keeps ``clean_watermark + 2`` spare segments (the
+    FTL's GC rule, :attr:`FlashParams.physical_blocks`), so the store holds
+    ``(n_segments - clean_watermark - 2) * pages_per_segment`` keys; a
+    write of one more raises :class:`RuntimeError`.
+
+    >>> [ObjectStore(policy=p).streams for p in PLACEMENT_POLICIES]
+    [('all',), ('data', 'hot'), ('data', 'meta', 'atime')]
     """
 
     def __init__(
@@ -50,28 +68,14 @@ class ObjectStore:
         if n_segments < 8 or pages_per_segment < 1:
             raise ValueError("need >= 8 segments and >= 1 page each")
         self.policy = policy
-        self.n_segments = n_segments
-        self.pages_per_segment = pages_per_segment
-        self.clean_watermark = clean_watermark
-        # segment state
-        self.live_keys: list[dict[int, Hashable]] = [dict() for _ in range(n_segments)]
-        self.next_page: list[int] = [0] * n_segments
-        n_streams = len(self._streams())
-        self._free: list[int] = list(range(n_segments - 1, n_streams - 1, -1))
-        self._heads: dict[str, int] = {
-            stream: i for i, stream in enumerate(self._streams())
-        }
-        # key -> (segment, page)
-        self.location: dict[Hashable, tuple[int, int]] = {}
-        self.stats = StoreStats()
-
-    # -- policy -> stream mapping ------------------------------------------
-    def _streams(self) -> list[str]:
-        if self.policy == "mixed":
-            return ["all"]
-        if self.policy == "split-meta":
-            return ["data", "hot"]  # meta+atime share the hot stream
-        return ["data", "meta", "atime"]
+        self.streams = STREAMS[policy]
+        self.device = FlashDevice(FlashParams(
+            pages_per_block=pages_per_segment,
+            user_blocks=n_segments - clean_watermark - 2,
+            overprovision=0.0,
+            gc_low_watermark_blocks=clean_watermark,
+        ))
+        self._lpage: dict[Hashable, int] = {}  # key -> logical page
 
     def stream_of(self, kind: str) -> str:
         if kind not in KINDS:
@@ -85,66 +89,33 @@ class ObjectStore:
     # -- write path -----------------------------------------------------------
     def write(self, kind: str, key: Hashable) -> None:
         """(Re)write one page for ``key``; old version invalidates."""
-        stream = self.stream_of(kind)
-        old = self.location.get(key)
-        if old is not None:
-            seg, page = old
-            self.live_keys[seg].pop(page, None)
-        self._append(stream, key)
-        self.stats.host_writes += 1
-        if len(self._free) < self.clean_watermark:
-            self._clean()
+        stream = self.streams.index(self.stream_of(kind))
+        lpage = self._lpage.get(key)
+        if lpage is None:
+            lpage = len(self._lpage)
+            if lpage >= self.device.params.user_pages:
+                raise RuntimeError(
+                    f"store full: {lpage} keys = (n_segments - clean_watermark - 2)"
+                    " * pages_per_segment"
+                )
+            self._lpage[key] = lpage
+        self.device.write(lpage, stream)
 
-    def _append(self, stream: str, key: Hashable) -> None:
-        head = self._heads[stream]
-        if self.next_page[head] >= self.pages_per_segment:
-            if not self._free:
-                raise RuntimeError("log out of free segments")
-            head = self._free.pop()
-            self._heads[stream] = head
-            self.next_page[head] = 0
-        page = self.next_page[head]
-        self.next_page[head] = page + 1
-        self.live_keys[head][page] = key
-        self.location[key] = (head, page)
+    # -- views of the device ----------------------------------------------------
+    @property
+    def stats(self) -> StoreStats:
+        d = self.device
+        return StoreStats(d.host_pages_written, d.gc_page_moves, d.blocks_erased)
 
-    # -- cleaning -----------------------------------------------------------------
-    def _clean(self) -> None:
-        while len(self._free) < self.clean_watermark:
-            victim = self._pick_victim()
-            for page, key in sorted(self.live_keys[victim].items()):
-                # move the live page back into its key's stream
-                kind = key[0] if isinstance(key, tuple) else "data"
-                self._append(self.stream_of(kind), key)
-                self.stats.cleaner_moves += 1
-            self.live_keys[victim] = {}
-            self.next_page[victim] = 0
-            self._free.insert(0, victim)
-            self.stats.segments_erased += 1
+    @property
+    def location(self) -> dict[Hashable, tuple[int, int]]:
+        """key -> (segment, page) of its live version."""
+        pps = self.device.params.pages_per_block
+        mapping = self.device.mapping
+        return {key: divmod(int(mapping[lp]), pps) for key, lp in self._lpage.items()}
 
-    def _pick_victim(self) -> int:
-        heads = set(self._heads.values())
-        best = None
-        best_live = None
-        for seg in range(self.n_segments):
-            if seg in heads or seg in self._free:
-                continue
-            live = len(self.live_keys[seg])
-            if best_live is None or live < best_live:
-                best, best_live = seg, live
-        if best is None or best_live is None or best_live >= self.pages_per_segment:
-            raise RuntimeError("no cleanable victim; store over-full")
-        return best
-
-    # -- invariants ----------------------------------------------------------------
     def check_invariants(self) -> None:
-        seen = {}
-        for seg, pages in enumerate(self.live_keys):
-            for page, key in pages.items():
-                assert self.location[key] == (seg, page)
-                assert key not in seen, f"{key} live twice"
-                seen[key] = (seg, page)
-        assert seen == self.location
+        self.device.check_invariants()
 
 
 def run_mixed_workload(

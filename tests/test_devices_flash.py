@@ -57,6 +57,21 @@ def test_sustained_random_write_cliff():
     assert res.degradation_factor > 2.0
     assert res.window_iops[0] > res.steady_iops
     assert res.write_amplification > 1.5
+    # Fig 14's mechanism, pinned exactly (the figure is not in the fast set)
+    assert res.write_amplification == 2.5986735026041665
+    assert dev.blocks_erased == 931
+    assert dev.gc_page_moves == 39289
+    assert dev.flash_pages_programmed == 63865
+
+
+def test_streams_append_to_separate_blocks():
+    dev = small_device()
+    dev.write(0)
+    dev.write(1, stream=1)
+    dev.write(2)
+    pp = dev.params.pages_per_block
+    assert dev.mapping[0] // pp == dev.mapping[2] // pp != dev.mapping[1] // pp
+    dev.check_invariants()
 
 
 def test_more_overprovisioning_degrades_less():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.pfs import PFSParams, SimPFS
 from repro.replication import ReplicationConfig, simulate_replicated_run, sweep_replication
 from repro.scmstore import ObjectStore, PLACEMENT_POLICIES, run_mixed_workload
+from repro.scmstore.store import KINDS
 from repro.sim import Simulator
 from repro.tracing.records import TraceEvent, TraceLog
 from repro.tracing.scalatrace import Loop, compress, compress_log, expand, signatures
@@ -57,6 +58,49 @@ def test_stream_mapping_per_policy():
     assert sm.stream_of("meta") == sm.stream_of("atime") == "hot"
     sa = ObjectStore(policy="split-all")
     assert {sa.stream_of(k) for k in ("data", "meta", "atime")} == {"data", "meta", "atime"}
+
+
+def test_cleaner_keeps_each_page_in_its_written_stream():
+    """Keys not shaped ``(kind, ...)`` clean into the stream they were
+    written to; the cleaner must not re-derive a kind from the key."""
+    s = ObjectStore(8, 4, "split-all")
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        s.write("atime", ("obj", int(rng.integers(10))))
+        s.write("meta", f"m{int(rng.integers(4))}")
+    assert s.stats.cleaner_moves > 0
+    s.check_invariants()
+    meta = {seg for key, (seg, _) in s.location.items() if isinstance(key, str)}
+    atime = {seg for key, (seg, _) in s.location.items() if isinstance(key, tuple)}
+    assert not meta & atime
+
+
+def test_store_full_raises_up_front():
+    s = ObjectStore(8, 4, "mixed")  # (8 - 2 - 2) * 4 keys
+    for key in range(16):
+        s.write("data", key)
+    with pytest.raises(RuntimeError, match="store full"):
+        s.write("data", 16)
+    s.write("data", 0)  # rewrites still fit
+    s.check_invariants()
+
+
+@given(
+    policy=st.sampled_from(PLACEMENT_POLICIES),
+    writes=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 11)), max_size=300),
+)
+@settings(max_examples=60, deadline=None)
+def test_store_invariants_under_random_writes(policy, writes):
+    s = ObjectStore(8, 4, policy)
+    for kind, key in writes:
+        s.write(kind, key)
+    s.check_invariants()
+    # location agrees with the device mapping, one live page per key
+    assert len(s.location) == len({key for _, key in writes})
+    pps = s.device.params.pages_per_block
+    phys = np.array([seg * pps + page for seg, page in s.location.values()], dtype=np.int64)
+    assert len(np.unique(phys)) == len(phys)
+    assert np.array_equal(s.device.mapping[s.device.page_owner[phys]], phys)
 
 
 def test_separation_reduces_cleaning_overhead():
