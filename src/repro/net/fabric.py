@@ -114,8 +114,7 @@ class Topology:
         self._named_ports: dict[str, SwitchPort] = {}
         self.n_servers = n_servers
         self.server_ports = [
-            SwitchPort(server_link, fabric, sim=sim, obs=self.obs, name=f"server{i}")
-            for i in range(n_servers)
+            self._port(server_link, f"server{i}") for i in range(n_servers)
         ]
         self._fluid_engine: Optional[FluidEngine] = (
             FluidEngine(sim, fabric) if fabric.fluid else None
@@ -133,12 +132,8 @@ class Topology:
                 latency_s=server_link.latency_s,
             )
             for r in range(ls.n_racks):
-                self.leaf_up.append(SwitchPort(
-                    uplink, fabric, sim=sim, obs=self.obs, name=f"leaf{r}.up"
-                ))
-                self.leaf_down.append(SwitchPort(
-                    uplink, fabric, sim=sim, obs=self.obs, name=f"leaf{r}.down"
-                ))
+                self.leaf_up.append(self._port(uplink, f"leaf{r}.up"))
+                self.leaf_down.append(self._port(uplink, f"leaf{r}.down"))
 
     # -- rack geometry (leaf/spine only; flat answers are degenerate) --
     @property
@@ -172,6 +167,10 @@ class Topology:
         return (rack % ls.n_racks) + k * ls.n_racks
 
     # -- endpoints -----------------------------------------------------
+    def _port(self, link: Link, name: str) -> SwitchPort:
+        """A new port on this fabric's simulator and recorder."""
+        return SwitchPort(link, self.fabric, sim=self.sim, obs=self.obs, name=name)
+
     def client_nic(self, client: int) -> Resource:
         nic = self._client_nics.get(client)
         if nic is None:
@@ -182,10 +181,7 @@ class Topology:
     def client_port(self, client: int) -> SwitchPort:
         port = self._client_ports.get(client)
         if port is None:
-            port = SwitchPort(
-                self.client_link, self.fabric, sim=self.sim, obs=self.obs,
-                name=f"client{client}",
-            )
+            port = self._port(self.client_link, f"client{client}")
             if self.client_rack(client) in self._racks_down:
                 port.set_down(True)
             self._client_ports[client] = port
@@ -195,9 +191,7 @@ class Topology:
         """A memoized extra port (e.g. an NFS server's single nfsd funnel)."""
         port = self._named_ports.get(name)
         if port is None:
-            port = SwitchPort(
-                link, self.fabric, sim=self.sim, obs=self.obs, name=name
-            )
+            port = self._port(link, name)
             self._named_ports[name] = port
         return port
 

@@ -186,7 +186,9 @@ def _staggered_stalls(
     Mirrors :meth:`Topology._windowed` on the cohort's shared
     destination hop: every flow's round *admits* against the buffer at
     its round-start instant, then queues FIFO for the capacity-1 link
-    (``Acquire(p.res)``), transmits ``admit * pkt_time_s``, drains, and
+    (``Acquire(p.res)`` there; only an exact-mode port builds that
+    resource, so here the FIFO is the ``busy_until`` instant below),
+    transmits ``admit * pkt_time_s``, drains, and
     waits one RTT for the ack.  The serialization is what staggers an
     initially synchronized cohort — flow *k*'s second round starts
     ``k`` transmissions after flow 0's — and that stagger is exactly

@@ -15,11 +15,16 @@ class SwitchPort:
     """One switch output port: a link plus a finite shared output buffer.
 
     Tracks occupancy (packets admitted but not yet drained) and exposes
-    per-port ``repro.obs`` metrics.  With ``sim`` given, the port also
-    owns a capacity-1 :class:`~repro.sim.Resource` modelling the output
-    link, so exact-mode transfers serialize through it; without a
-    simulator the port is geometry and accounting only — what
-    :meth:`safe_fanin` sizing and the feedback tests need.
+    per-port ``repro.obs`` metrics.  With ``sim`` given on an exact-mode
+    fabric, the port also owns a capacity-1 :class:`~repro.sim.Resource`
+    modelling the output link, so
+    :meth:`repro.net.fabric.Topology._windowed` transfers serialize
+    through it.  A fluid-mode port has no link resource (``res is
+    None``): the fluid engine shares line rate by computed rates and
+    never queues on one.  Without a simulator the port is geometry and
+    accounting only — what :meth:`safe_fanin` sizing and the feedback
+    tests need.  Ports are ``__slots__`` objects, about 280 B each in
+    fluid mode, because a 10⁶-client fabric builds two per client.
 
     **Label scheme / authority.**  :attr:`occupancy_pkts` and the
     ``total_*`` attributes (:attr:`total_drops_pkts`,
@@ -47,6 +52,14 @@ class SwitchPort:
     with one hot port costs one port's worth of registry.
     """
 
+    __slots__ = (
+        "link", "fabric", "pkt_time_s", "name", "occupancy_pkts", "down",
+        "total_drops_pkts", "total_timeouts", "total_retransmits",
+        "total_bytes", "total_blackouts", "res", "_metrics",
+        "_c_drops", "_c_timeouts", "_c_retransmits", "_c_bytes",
+        "_c_blackouts", "_g_occupancy", "_h_occupancy",
+    )
+
     def __init__(
         self,
         link: Link,
@@ -70,8 +83,10 @@ class SwitchPort:
         self.total_retransmits = 0
         self.total_bytes = 0
         self.total_blackouts = 0
+        # only the exact engine queues on the link; fluid flows never do
         self.res: Optional[Resource] = (
-            Resource(sim, capacity=1, name=f"{name}.link") if sim is not None else None
+            Resource(sim, capacity=1, name=f"{name}.link")
+            if sim is not None and fabric.mode == "exact" else None
         )
         # only the registry handle is kept here; each series is resolved
         # by the first record_*/admit that has something to put in it

@@ -1,6 +1,7 @@
 """Unit tests for the shared network fabric (links, ports, topologies)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from repro.net import (
     FabricParams,
     IDEAL_FABRIC,
     IncastConfig,
+    LeafSpineParams,
     Link,
     SwitchPort,
     Topology,
     simulate_incast,
 )
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
 
 
 # -- Link ---------------------------------------------------------------
@@ -155,6 +157,52 @@ def make_topology(fabric=IDEAL_FABRIC, n_servers=4, bw=112.5e6, rpc=300e-6):
         fabric=fabric,
     )
     return sim, topo
+
+
+# -- Topology: what a port costs ----------------------------------------
+
+def every_port(topo):
+    """Each kind of port a topology builds: server, leaf, client, named."""
+    topo.client_port(0)
+    topo.named_port("nfsd", Link(1e9))
+    return [*topo.server_ports, *topo.leaf_up, *topo.leaf_down,
+            *topo._client_ports.values(), *topo._named_ports.values()]
+
+
+@pytest.mark.parametrize("mode", ["exact", "fluid"])
+def test_only_exact_ports_build_a_link_resource(mode):
+    fab = FabricParams(buffer_pkts=64, mode=mode, leafspine=LeafSpineParams(n_racks=2))
+    _, topo = make_topology(fab)
+    ports = every_port(topo)
+    assert len(ports) == 4 + 2 + 2 + 1 + 1
+    for p in ports:
+        assert not hasattr(p, "__dict__")
+        if mode == "fluid":
+            assert p.res is None
+        else:
+            assert isinstance(p.res, Resource) and p.res.capacity == 1
+
+
+def test_fluid_port_memory_bound():
+    """A fluid port is geometry plus counters: well under 512 B traced.
+
+    With a ``__dict__`` and an unused capacity-1 link ``Resource`` (and
+    its wait queue) a port cost about 1.3 KiB, most of a fluid client's
+    memory at 10⁵–10⁶ clients.
+    """
+    n = 10_000
+    sim = Simulator()
+    fab = FabricParams(buffer_pkts=64, mode="fluid")
+    Topology(sim, 1, Link(112e6), Link(112e6), fabric=fab)  # lazy imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        topo = Topology(sim, n, Link(112e6), Link(112e6), fabric=fab)
+        per_port = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert len(topo.server_ports) == n
+    assert per_port <= 512, per_port
 
 
 def test_ideal_request_cost_is_flat_arithmetic():
