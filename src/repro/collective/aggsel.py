@@ -78,10 +78,6 @@ class AggregatorPlan:
     phase1_fanin_cap: int
     aggregator_clients: Optional[tuple[int, ...]] = None
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(hi - lo for exts in self.domains for lo, hi in exts)
-
     def __post_init__(self) -> None:
         if self.n_aggregators != len(self.domains):
             raise ValueError("one domain per aggregator required")

@@ -61,10 +61,6 @@ class FlashParams:
         spare = max(floor, int(round(self.user_blocks * self.overprovision)))
         return self.user_blocks + spare
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.user_pages * self.page_bytes
-
 
 @dataclass
 class SustainedWriteResult:
@@ -129,10 +125,6 @@ class FlashDevice:
         self.valid_per_block[block] += 1
         self.mapping[lpage] = phys
         self.flash_pages_programmed += 1
-
-    def free_blocks(self) -> int:
-        """Erased blocks not yet opened; open heads' unused tails not counted."""
-        return len(self._free_blocks)
 
     # -- host operations -------------------------------------------------
     def read(self, lpage: int) -> float:
@@ -244,9 +236,6 @@ class FlashDevice:
 
     def fresh_write_iops(self) -> float:
         return 1.0 / self.params.program_page_s
-
-    def fresh_read_iops(self) -> float:
-        return 1.0 / self.params.read_page_s
 
     # -- experiment drivers --------------------------------------------------
     def sustained_random_write(

@@ -33,10 +33,6 @@ class MetricTraces:
     def n_servers(self) -> int:
         return next(iter(self.metrics.values())).shape[0]
 
-    @property
-    def n_windows(self) -> int:
-        return next(iter(self.metrics.values())).shape[1]
-
 
 def synth_cluster_metrics(
     n_servers: int,

@@ -13,7 +13,6 @@ from repro.erasure.reedsolomon import ReedSolomon
 from repro.erasure.reliability import (
     diskreduce_capacity_overhead,
     mttdl_mirrored,
-    mttdl_raid5,
     mttdl_rs,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "ReedSolomon",
     "diskreduce_capacity_overhead",
     "mttdl_mirrored",
-    "mttdl_raid5",
     "mttdl_rs",
 ]

@@ -30,11 +30,6 @@ class ReedSolomon:
         """Total share count (data + parity)."""
         return self.k + self.m
 
-    @property
-    def max_erasures(self) -> int:
-        """Simultaneous share losses the code survives."""
-        return self.m
-
     def can_decode(self, available: "set[int] | Sequence[int]") -> bool:
         """Whether the available share indices suffice to recover the data."""
         return len({i for i in available if 0 <= i < self.n}) >= self.k
@@ -64,9 +59,6 @@ class ReedSolomon:
         shards = self.split(data)
         coded = GF256.mat_mul(self.matrix, shards)
         return [row.tobytes() for row in coded]
-
-    def parity(self, data: bytes) -> list[bytes]:
-        return self.encode(data)[self.k:]
 
     # -- decoding -----------------------------------------------------
     def _survivors(self, shares: dict[int, bytes]) -> tuple[np.ndarray, np.ndarray]:

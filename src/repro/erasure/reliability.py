@@ -1,8 +1,8 @@
 """Storage-array reliability models and DiskReduce capacity accounting.
 
 Classic Markov MTTDL approximations (independent exponential failures,
-exponential repairs) for mirroring, RAID-5, and general k+m Reed-Solomon
-groups, plus the capacity arithmetic behind DiskReduce's thesis that
+exponential repairs) for mirroring and general k+m Reed-Solomon groups
+(RAID-5 is k+1), plus the capacity arithmetic behind DiskReduce's thesis that
 3-way replication in data-intensive clusters should become erasure
 coding (200% overhead -> ~25-40%).
 """
@@ -25,14 +25,6 @@ def mttdl_mirrored(mttf_h: float, mttr_h: float, n_pairs: int = 1) -> float:
         raise ValueError("need at least one pair")
     single = mttf_h**2 / (2.0 * mttr_h)
     return single / n_pairs
-
-
-def mttdl_raid5(mttf_h: float, mttr_h: float, n_disks: int) -> float:
-    """MTTDL (hours) of one RAID-5 group of ``n_disks``."""
-    _check(mttf_h, mttr_h)
-    if n_disks < 2:
-        raise ValueError("RAID-5 needs >= 2 disks")
-    return mttf_h**2 / (n_disks * (n_disks - 1) * mttr_h)
 
 
 def mttdl_rs(mttf_h: float, mttr_h: float, k: int, m: int) -> float:

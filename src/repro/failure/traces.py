@@ -35,12 +35,6 @@ class InterruptTrace:
     def interrupts_per_year(self) -> float:
         return self.n_interrupts / self.years
 
-    def mtti_years(self) -> float:
-        """Empirical mean time to interrupt (observation window / count)."""
-        if self.n_interrupts == 0:
-            return float("inf")
-        return self.years / self.n_interrupts
-
     def times_in_seconds(self, horizon_s: float) -> np.ndarray:
         """Interrupt times scaled linearly from ``[0, years)`` onto
         ``[0, horizon_s)`` simulated seconds — the bridge from the

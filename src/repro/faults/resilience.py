@@ -132,11 +132,6 @@ class RedundancySpec:
         return self.m
 
     @property
-    def overhead_ratio(self) -> float:
-        """Extra bytes written per data byte (parity / mirror copies)."""
-        return self.m / self.k
-
-    @property
     def reconstruct_read_shares(self) -> int:
         """Shares read to rebuild one lost share (mirror: 1, RS: k)."""
         return 1 if self.kind == "mirror" else self.k

@@ -50,9 +50,6 @@ class GigaBitmap:
             i &= ~(1 << (i.bit_length() - 1))
         return i
 
-    def partition_of_name(self, name: str) -> int:
-        return self.partition_of(hash_name(name))
-
     # -- mutation ------------------------------------------------------
     def split(self, partition: int) -> int:
         """Record a split of ``partition``; returns the new child index."""
@@ -85,12 +82,6 @@ class GigaBitmap:
         sides = {(h >> r) & 1 for h in hashes}
         return len(sides) == 2
 
-    def moves_on_split(self, partition: int, hashes: Iterable[int]) -> list[int]:
-        """Which of ``hashes`` (entries of ``partition``) move to the child
-        created by :meth:`split`, given its *current* radix."""
-        r = self.radix[partition]
-        return [h for h in hashes if (h >> r) & 1]
-
     # -- replica merge --------------------------------------------------
     def merge_from(self, other: "GigaBitmap") -> bool:
         """Absorb any partitions/splits ``other`` knows about; returns
@@ -103,11 +94,6 @@ class GigaBitmap:
                 self.radix[p] = r
                 changed = True
         return changed
-
-    def copy(self) -> "GigaBitmap":
-        b = GigaBitmap()
-        b.radix = dict(self.radix)
-        return b
 
     # -- invariants -----------------------------------------------------
     def check_invariants(self) -> None:

@@ -297,11 +297,6 @@ class GigaService:
         self.coordinator = Coordinator(sim, self)
 
     # -- addressing ----------------------------------------------------
-    @property
-    def map(self) -> ShardMap:
-        """The coordinator's current shard map."""
-        return self.coordinator.map
-
     def client(self, client_id: int, tenant: str = "default") -> ServiceClient:
         """A new client with a maximally stale bitmap and the current map."""
         return ServiceClient(client_id, GigaBitmap(), self.coordinator.map, tenant)

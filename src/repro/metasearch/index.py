@@ -179,6 +179,3 @@ class PartitionedIndex:
             fresh.add(f)
         self.partitions[index] = fresh
         return len(region_records)
-
-    def total_records(self) -> int:
-        return sum(len(p.records) for p in self.partitions)

@@ -10,7 +10,6 @@ from repro.net.incast import (
     ONE_GE,
     TEN_GE,
     simulate_incast,
-    sweep_senders,
 )
 from repro.net.params import FabricParams, IDEAL_FABRIC, LeafSpineParams, Link
 from repro.net.port import SwitchPort
@@ -30,6 +29,5 @@ __all__ = [
     "Topology",
     "burst_stalls",
     "simulate_incast",
-    "sweep_senders",
     "windowed_rounds",
 ]

@@ -91,9 +91,6 @@ class IncastResult:
     def goodput_MBps(self) -> float:
         return self.goodput_Bps / 1e6
 
-    def efficiency(self, cfg: IncastConfig) -> float:
-        return self.goodput_Bps / cfg.link_Bps
-
 
 def simulate_incast(cfg: IncastConfig, n_servers: int, n_blocks: int = 20) -> IncastResult:
     """Fetch ``n_blocks`` striped blocks; returns aggregate goodput.
@@ -147,10 +144,3 @@ def simulate_incast(cfg: IncastConfig, n_servers: int, n_blocks: int = 20) -> In
         m.counter("net.incast.timeouts", **labels).inc(timeouts)
         m.counter("net.incast.repeat_timeouts", **labels).inc(repeat_timeouts)
     return result
-
-
-def sweep_senders(
-    cfg: IncastConfig, sender_counts: list[int], n_blocks: int = 20
-) -> list[IncastResult]:
-    """Goodput vs sender count — one curve of Fig 9."""
-    return [simulate_incast(cfg, n, n_blocks=n_blocks) for n in sender_counts]

@@ -58,18 +58,6 @@ class RequestContext:
         """The attrs an edge span carries so traces are request-addressable."""
         return {"rid": self.request_id, "tenant": self.tenant}
 
-    def as_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "op": self.op,
-            "origin": self.origin,
-            "drops_pkts": self.drops_pkts,
-            "rtos": self.rtos,
-            "retries": self.retries,
-            "reconstructions": self.reconstructions,
-        }
-
 
 @dataclass(frozen=True)
 class PathSegment:

@@ -74,17 +74,6 @@ class StripeLayout:
         """
         return merge_extents(self.extents(offset, length, shift=shift))
 
-    def servers_for(self, offset: int, length: int, shift: int = 0) -> list[int]:
-        """Distinct data servers touched by ``[offset, offset+length)``,
-        in first-touch order — the data-share footprint of one region,
-        used by stripe-health accounting and the scrub tests to predict
-        which servers a ``disk_loss`` burst can hit."""
-        seen: list[int] = []
-        for ext in self.extents(offset, length, shift=shift):
-            if ext.server not in seen:
-                seen.append(ext.server)
-        return seen
-
 
 def merge_extents(extents: Iterable[Extent]) -> list[Extent]:
     """Merge server-locally contiguous runs of logically adjacent extents."""
@@ -135,10 +124,6 @@ class PlacedLayout:
         self._chunk_server: dict[tuple[int, int], int] = {}
         self._chunk_local: dict[tuple[int, int], int] = {}
         self._server_chunks: dict[tuple[int, int], int] = {}  # (file, server) -> count
-
-    @property
-    def n_servers(self) -> int:
-        return self.strategy.n_servers
 
     def server_of(self, file_id: int, chunk: int) -> int:
         """The chunk's server — decided on first touch, sticky after."""

@@ -103,15 +103,6 @@ class PFSParams:
     def with_fabric(self, fabric: FabricParams) -> "PFSParams":
         return replace(self, fabric=fabric)
 
-    def with_placement(self, placement) -> "PFSParams":
-        return replace(self, placement=placement)
-
-    def with_redundancy(self, redundancy: str | RedundancySpec | None) -> "PFSParams":
-        return replace(self, redundancy=redundancy)
-
-    def with_resilience(self, resilience: ResilienceParams | None) -> "PFSParams":
-        return replace(self, resilience=resilience)
-
 
 #: Lustre-like: 1 MB stripes, page-granular-ish locking modeled at 64 KB,
 #: relatively expensive lock migration (DLM round trips).

@@ -69,14 +69,6 @@ class IndexEntry:
     stored_length: int = -1  # bytes in the data dropping; -1 = length
 
     @property
-    def logical_end(self) -> int:
-        return self.logical_offset + self.length
-
-    @property
-    def stored(self) -> int:
-        return self.length if self.stored_length < 0 else self.stored_length
-
-    @property
     def compressed(self) -> bool:
         return self.stored_length >= 0 and self.stored_length != self.length
 
@@ -310,20 +302,6 @@ class GlobalIndex:
             Segment(start, end, IndexEntry(*item(row)), skip)
             for start, end, row, skip in self._map.pieces(offset, offset + length)
         ]
-
-    def physical_location(self, segment: Segment) -> tuple[Path, int]:
-        """(data dropping path, physical offset) for a lookup segment.
-
-        Only meaningful for uncompressed entries, where logical bytes map
-        1:1 to stored bytes.
-        """
-        entry: IndexEntry = segment.payload
-        if entry.compressed:
-            raise ValueError("compressed entry has no per-byte physical location")
-        return (
-            self.data_paths[entry.dropping],
-            entry.physical_offset + segment.payload_offset,
-        )
 
     def read_into(self, out: bytearray, offset: int, files: dict[int, BinaryIO]) -> int:
         """Fill ``out`` from the droppings; returns bytes that were mapped.

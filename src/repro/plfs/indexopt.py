@@ -1,27 +1,19 @@
-"""Index compression & parallel redistribution (PDSI follow-on #5:
-"compress read-back indexes and parallelize their redistribution").
+"""Index pattern compression (PDSI follow-on #5: "compress read-back
+indexes").
 
 Checkpoint indices are huge but *regular*: a rank writing an N-1 strided
 pattern produces records at offsets ``base + i*stride`` with constant
 length.  :func:`detect_patterns` replaces each such run with one
-formulaic descriptor; :class:`PatternIndex` answers lookups from the
-formulas.  For a container with millions of records this shrinks the
-read-open cost by orders of magnitude.
-
-:func:`parallel_build_entries` splits index-dropping parsing across the
-ranks of a collective read-open and allgathers the (already compacted and
-pattern-compressed) results — the "parallelize their redistribution"
-half, runnable on :mod:`repro.mpi`.
+formulaic descriptor, which is how ``repro-plfs analyze`` reports how far
+a container's index would compress.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-from repro.mpi.runtime import Comm
-from repro.plfs.index import IndexEntry, compact_entries, read_index_dropping
+from repro.plfs.index import IndexEntry
 
 
 @dataclass(frozen=True)
@@ -36,18 +28,6 @@ class StridedRun:
     first_timestamp: float
     timestamp_step: float
     dropping: int = 0
-
-    def expand(self) -> list[IndexEntry]:
-        return [
-            IndexEntry(
-                self.base + i * self.stride,
-                self.length,
-                self.physical_base + i * self.length,
-                self.first_timestamp + i * self.timestamp_step,
-                self.dropping,
-            )
-            for i in range(self.count)
-        ]
 
 
 def detect_patterns(
@@ -95,87 +75,3 @@ def detect_patterns(
             leftovers.append(e)
             i += 1
     return runs, leftovers
-
-
-def compression_ratio(n_entries: int, runs: list[StridedRun], leftovers: list[IndexEntry]) -> float:
-    """records before / descriptors after."""
-    after = len(runs) + len(leftovers)
-    return n_entries / after if after else float("inf")
-
-
-class PatternIndex:
-    """Query layer over (runs, leftovers): find entries overlapping a range.
-
-    Used to check formulaic fidelity; the production read path expands
-    back to plain entries for the interval map.
-    """
-
-    def __init__(self, runs: list[StridedRun], leftovers: list[IndexEntry]) -> None:
-        self.runs = runs
-        self.leftovers = leftovers
-
-    def entries(self) -> list[IndexEntry]:
-        out: list[IndexEntry] = list(self.leftovers)
-        for run in self.runs:
-            out.extend(run.expand())
-        out.sort(key=lambda e: e.timestamp)
-        return out
-
-    def lookup(self, offset: int, length: int) -> list[IndexEntry]:
-        """Entries whose logical span intersects [offset, offset+length)."""
-        end = offset + length
-        hits = [
-            e for e in self.leftovers
-            if e.logical_offset < end and e.logical_end > offset
-        ]
-        for run in self.runs:
-            if run.stride <= 0:
-                candidates = range(run.count)
-            else:
-                lo = max(0, (offset - run.base - run.length) // run.stride)
-                hi = min(run.count, (end - run.base) // run.stride + 1)
-                candidates = range(int(lo), int(hi))
-            for i in candidates:
-                lo_off = run.base + i * run.stride
-                if lo_off < end and lo_off + run.length > offset:
-                    hits.append(
-                        IndexEntry(
-                            lo_off,
-                            run.length,
-                            run.physical_base + i * run.length,
-                            run.first_timestamp + i * run.timestamp_step,
-                            run.dropping,
-                        )
-                    )
-        return hits
-
-
-def parallel_build_entries(comm: Comm, pairs: Sequence[tuple[Path, Path]]):
-    """Collective index build: each rank parses a slice of the droppings,
-    compacts and pattern-compresses it, then allgathers the descriptors.
-
-    Use inside a rank generator::
-
-        runs, leftovers = yield from parallel_build_entries(comm, pairs)
-    """
-    mine_runs: list[StridedRun] = []
-    mine_left: list[IndexEntry] = []
-    for i, (_, index_path) in enumerate(pairs):
-        if i % comm.size != comm.rank:
-            continue
-        entries = [
-            IndexEntry(e.logical_offset, e.length, e.physical_offset,
-                       e.timestamp, i, stored_length=e.stored_length)
-            for e in read_index_dropping(index_path)
-        ]
-        entries = compact_entries(entries)
-        runs, left = detect_patterns(entries)
-        mine_runs.extend(runs)
-        mine_left.extend(left)
-    gathered = yield comm.allgather((mine_runs, mine_left))
-    all_runs: list[StridedRun] = []
-    all_left: list[IndexEntry] = []
-    for runs, left in gathered:
-        all_runs.extend(runs)
-        all_left.extend(left)
-    return all_runs, all_left

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class Segment:
     end: int
     payload: Any
     payload_offset: int = 0
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
@@ -134,11 +130,6 @@ class IntervalMap:
     def query(self, start: int, end: int) -> list[Segment]:
         """Segments overlapping ``[start, end)``, clipped to the range."""
         return list(starmap(Segment, self.pieces(start, end)))
-
-    def payload_at(self, offset: int) -> Optional[Segment]:
-        """The segment containing ``offset``, or None (a hole)."""
-        segs = self.query(offset, offset + 1)
-        return segs[0] if segs else None
 
     def check_invariants(self) -> None:
         """Columns are equally long; segments sorted, disjoint, non-empty."""

@@ -14,6 +14,14 @@ Example
 ...     fh = yield from PlfsMPIIO.open(comm, plfs, "/ckpt", "w")
 ...     yield from fh.write_at_all(comm.rank * 4, comm.rank.to_bytes(4, "little"))
 ...     yield from fh.close()
+>>> import tempfile
+>>> tmp = tempfile.TemporaryDirectory()
+>>> plfs = Plfs(tmp.name)
+>>> run_spmd(4, app, plfs)
+[None, None, None, None]
+>>> list(plfs.read_file("/ckpt")[::4])
+[0, 1, 2, 3]
+>>> tmp.cleanup()
 """
 
 from __future__ import annotations

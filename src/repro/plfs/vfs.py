@@ -9,6 +9,25 @@ The API mirrors the syscalls the report's FUSE deployment intercepts:
 Limitations faithful to real PLFS: a file open for writing has an
 indeterminate ``stat`` size until writers close (we fall back to parsing
 indices); shrinking ``truncate`` to a non-zero size is unsupported.
+
+Example
+-------
+>>> import tempfile
+>>> from repro.plfs.vfs import Plfs
+>>> tmp = tempfile.TemporaryDirectory()
+>>> fs = Plfs(tmp.name)
+>>> fs.mkdir("/runs")
+>>> fs.write_file("/runs/ckpt", b"abc")
+>>> fs.rename("/runs/ckpt", "/runs/ckpt.1")
+>>> fs.truncate("/runs/ckpt.1", 5)
+>>> fs.read_file("/runs/ckpt.1") == b"abc" + bytes(2)
+True
+>>> fs.readdir("/runs")
+['ckpt.1']
+>>> fs.unlink("/runs/ckpt.1")
+>>> fs.readdir("/runs")
+[]
+>>> tmp.cleanup()
 """
 
 from __future__ import annotations
@@ -59,6 +78,8 @@ class Plfs:
 
     def readdir(self, path: str = "/") -> list[str]:
         p = self._resolve(path) if path.strip("/") else self.backing
+        if is_container(p):
+            raise NotADirectoryError(path)
         out = []
         for entry in sorted(p.iterdir()):
             out.append(entry.name)
@@ -165,12 +186,11 @@ class Plfs:
             Container.create(p)
             return
         current = self.stat(path)["size"]
-        if size >= current:
-            # extend: write a single byte hole marker at size-1? PLFS grows
-            # lazily; an explicit zero byte pins the new EOF.
+        if size < current:
+            raise NotImplementedError(
+                "shrinking truncate to a non-zero size is unsupported (as in PLFS)"
+            )
+        if size > current:
+            # extend: PLFS grows lazily; an explicit zero byte pins the new EOF
             with self.open_write(path, writer="truncate", create=False) as h:
                 h.write(b"\0", size - 1)
-            return
-        raise NotImplementedError(
-            "shrinking truncate to a non-zero size is unsupported (as in PLFS)"
-        )

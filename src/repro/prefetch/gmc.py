@@ -59,10 +59,6 @@ class OrderOnePrefetcher:
         self.k = k
         self._table = _CountTable()
 
-    @property
-    def name(self) -> str:
-        return "order-1-global"
-
     def predict(self, access: Access) -> list[Access]:
         """Predictions issued after observing ``access``."""
         return self._table.predict(("G1", access), self.k)
@@ -92,10 +88,6 @@ class GMCPrefetcher:
         self._local = _CountTable()
         self._history: list[Access] = []
         self._last_by_file: dict[int, Access] = {}
-
-    @property
-    def name(self) -> str:
-        return f"gmc-{self.max_order}"
 
     def predict(self, access: Access) -> list[Access]:
         out: list[Access] = []

@@ -137,10 +137,6 @@ class Process:
         self.name = name or getattr(gen, "__name__", "process")
         self.done_event = Event(sim, name=f"done:{self.name}")
 
-    @property
-    def finished(self) -> bool:
-        return self.done_event.triggered
-
     def _resume_from_event(self, event: Event) -> None:
         try:
             value = event.value

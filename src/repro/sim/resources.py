@@ -29,8 +29,8 @@ class Resource:
     """Capacity-limited resource with FIFO admission.
 
     Processes request a unit with ``grant = yield Acquire(res)`` and must
-    call ``res.release(grant)`` when done.  Utilization statistics are
-    tracked for reporting.
+    call ``res.release(grant)`` when done.  ``total_grants`` and
+    ``total_wait`` count the grants and the time spent queued for them.
 
     Under an active ``repro.obs`` bundle the resource also feeds
     ``sim.resource.wait_s`` / ``service_s{resource=<name>}`` histograms.
@@ -47,8 +47,6 @@ class Resource:
         self.name = name
         self.in_use = 0
         self._queue: Deque[tuple[Process, float]] = deque()  # (waiter, enqueued at)
-        self._busy_time = 0.0
-        self._last_change = 0.0
         self.total_grants = 0
         self.total_wait = 0.0
         obs = getattr(sim, "obs", None)
@@ -70,8 +68,6 @@ class Resource:
     def _grant(self, proc: Process, enqueued_at: float) -> None:
         sim = self.sim
         now = sim.now
-        self._busy_time += self.in_use * (now - self._last_change)
-        self._last_change = now
         self.in_use += 1
         self.total_grants += 1
         wait = now - enqueued_at
@@ -93,23 +89,9 @@ class Resource:
             if self._h_service is None:
                 self._h_service = self._histogram("service_s")
             self._h_service.observe(self.sim.now - grant.acquired_at)
-        now = self.sim.now
-        self._busy_time += self.in_use * (now - self._last_change)
-        self._last_change = now
         self.in_use -= 1
         if self._queue and self.in_use < self.capacity:
             self._grant(*self._queue.popleft())
-
-    def utilization(self) -> float:
-        """Time-averaged fraction of capacity in use since t=0."""
-        now = self.sim.now
-        if now == 0.0:
-            return 0.0
-        busy = self._busy_time + self.in_use * (now - self._last_change)
-        return busy / (now * self.capacity)
-
-    def mean_wait(self) -> float:
-        return self.total_wait / self.total_grants if self.total_grants else 0.0
 
 
 class Store:

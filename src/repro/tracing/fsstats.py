@@ -80,20 +80,6 @@ def size_cdf(sizes: np.ndarray, points: np.ndarray | None = None) -> tuple[np.nd
     return points, frac
 
 
-def bytes_cdf(sizes: np.ndarray, points: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """CDF weighted by bytes: fraction of capacity in files <= x."""
-    sizes = np.sort(np.asarray(sizes))
-    if len(sizes) == 0:
-        raise ValueError("no sizes")
-    cum = np.cumsum(sizes, dtype=np.float64)
-    total = cum[-1]
-    if points is None:
-        points = np.logspace(0, np.log10(max(sizes.max(), 2)), 64)
-    idx = np.searchsorted(sizes, points, side="right")
-    frac = np.where(idx > 0, cum[np.maximum(idx - 1, 0)] / total, 0.0)
-    return points, frac
-
-
 def survey_summary(sizes: np.ndarray) -> dict:
     """The headline fsstats numbers for one file system."""
     sizes = np.asarray(sizes)

@@ -47,20 +47,17 @@ def raster_offsets(log: TraceLog, width: int = 256, height: int = 256) -> np.nda
     return img
 
 
-def raster_wrapped(
-    log: TraceLog, width: int = 256, height: int = 256, total_size: int | None = None
-) -> np.ndarray:
+def raster_wrapped(log: TraceLog, width: int = 256, height: int = 256) -> np.ndarray:
     """The file as a row-major grid; cell = last rank to write it + 1.
 
     Writes are applied in time order, so overlaps resolve like the file
-    itself would (last writer wins).  ``total_size`` fixes the grid's byte
-    extent (movie frames share one scale); defaults to the trace's EOF.
+    itself would (last writer wins).  The grid spans the trace's EOF.
     """
     if width < 1 or height < 1:
         raise ValueError("raster dimensions must be positive")
     t, rank, off, nb = _write_cols(log)
     order = np.argsort(t, kind="stable")
-    size = int((off + nb).max()) if total_size is None else int(total_size)
+    size = int((off + nb).max())
     cells = width * height
     img = np.zeros(cells, dtype=np.int32)
     for i in order:
@@ -68,35 +65,6 @@ def raster_wrapped(
         b = (int(off[i]) + int(nb[i])) * cells // max(size, 1)
         img[a:max(b, a + 1)] = rank[i] + 1
     return img.reshape(height, width)
-
-
-def movie_frames(
-    log: TraceLog, n_frames: int = 8, width: int = 64, height: int = 64
-) -> list[np.ndarray]:
-    """Ninjat's "movie" view: wrapped-file rasters after successive time
-    prefixes of the trace, visualizing how concurrency fills the file.
-
-    Frame k includes all writes with ``t <= t0 + (k+1)/n * span``.
-    """
-    if n_frames < 1:
-        raise ValueError("need at least one frame")
-    t, rank, off, nb = _write_cols(log)
-    t0, t1 = t.min(), t.max()
-    span = max(t1 - t0, 1e-12)
-    total_size = int((off + nb).max())
-    frames = []
-    for k in range(n_frames):
-        cutoff = t0 + (k + 1) / n_frames * span
-        partial = TraceLog()
-        from repro.tracing.records import TraceEvent
-
-        for ti, ri, oi, ni in zip(t, rank, off, nb):
-            if ti <= cutoff:
-                partial.add(TraceEvent(float(ti), int(ri), "write", int(oi), int(ni)))
-        frames.append(
-            raster_wrapped(partial, width=width, height=height, total_size=total_size)
-        )
-    return frames
 
 
 #: distinct colors for up to 16 ranks (RGB), index 0 = empty/black

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -35,9 +35,6 @@ class TraceLog:
     def add(self, event: TraceEvent) -> None:
         self._events.append(event)
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        self._events.extend(events)
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -66,9 +63,3 @@ class TraceLog:
 
     def total_bytes(self, op: str) -> int:
         return sum(e.nbytes for e in self._events if e.op == op)
-
-    def duration(self) -> float:
-        if not self._events:
-            return 0.0
-        ts = [e.t for e in self._events]
-        return max(ts) - min(ts)

@@ -37,11 +37,6 @@ class Loop:
     body: tuple
     count: int
 
-    def length(self) -> int:
-        return self.count * sum(
-            item.length() if isinstance(item, Loop) else 1 for item in self.body
-        )
-
 
 def signatures(log: TraceLog, rank: int) -> list[OpSig]:
     """Per-rank delta-encoded signatures, in time order."""

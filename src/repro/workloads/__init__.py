@@ -16,17 +16,13 @@ from repro.workloads.patterns import (
     nn_private,
     overlap_bytes,
     pattern_bytes,
-    rank_overlaps,
     with_jitter,
 )
 from repro.workloads.apps import (
     APP_CATALOG,
     AppProfile,
     app_pattern,
-    chombo_like,
     flash_like,
-    qcd_like,
-    s3d_like,
 )
 from repro.workloads.checkpoint import (
     FaultedCheckpointResult,
@@ -41,7 +37,6 @@ __all__ = [
     "FaultedCheckpointResult",
     "S3DWeakScaling",
     "app_pattern",
-    "chombo_like",
     "flash_like",
     "iozone_bandwidth_sweep",
     "iozone_random_iops",
@@ -50,10 +45,7 @@ __all__ = [
     "nn_private",
     "overlap_bytes",
     "pattern_bytes",
-    "rank_overlaps",
     "predict_checkpoint_series",
-    "qcd_like",
     "run_faulted_checkpoint",
-    "s3d_like",
     "with_jitter",
 ]

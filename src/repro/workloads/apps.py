@@ -113,15 +113,3 @@ def app_pattern(
 
 def flash_like(n_ranks: int, rng: Optional[np.random.Generator] = None) -> Pattern:
     return app_pattern(APP_CATALOG["flash"], n_ranks, rng)
-
-
-def chombo_like(n_ranks: int, rng: Optional[np.random.Generator] = None) -> Pattern:
-    return app_pattern(APP_CATALOG["chombo"], n_ranks, rng)
-
-
-def qcd_like(n_ranks: int, rng: Optional[np.random.Generator] = None) -> Pattern:
-    return app_pattern(APP_CATALOG["qcd"], n_ranks, rng)
-
-
-def s3d_like(n_ranks: int, rng: Optional[np.random.Generator] = None) -> Pattern:
-    return app_pattern(APP_CATALOG["s3d"], n_ranks, rng)

@@ -7,6 +7,16 @@ optionally re-reads and verifies rank-stamped data.  Two back ends:
   MPI-IO adapter: measures wall-clock and verifies every byte;
 * ``run_ior_sim``   — replays the same pattern on the simulated PFS
   (direct or through PLFS) for bandwidth studies at scale.
+
+Example
+-------
+>>> import tempfile
+>>> from repro.plfs.vfs import Plfs
+>>> from repro.workloads.ior import IORConfig, run_ior_real
+>>> with tempfile.TemporaryDirectory() as tmp:
+...     result = run_ior_real(IORConfig(n_ranks=4, transfer_size=1024), Plfs(tmp))
+>>> result.verified, result.config.total_bytes
+(True, 32768)
 """
 
 from __future__ import annotations

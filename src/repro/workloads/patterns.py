@@ -91,11 +91,6 @@ def overlap_bytes(writes: list[tuple[int, int]], extents) -> int:
     return total
 
 
-def rank_overlaps(pattern: Pattern, extents) -> list[int]:
-    """Per-rank :func:`overlap_bytes` against one set of extents."""
-    return [overlap_bytes(writes, extents) for writes in pattern]
-
-
 def _check(n_ranks: int, record_bytes: int, steps: int) -> None:
     if n_ranks < 1 or record_bytes < 1 or steps < 1:
         raise ValueError("n_ranks, record_bytes, steps must all be >= 1")

@@ -114,7 +114,7 @@ def test_select_count_starts_at_server_parallelism():
     )
     assert plan.requested_aggregators == 8
     assert 1 <= plan.n_aggregators <= 8
-    assert plan.total_bytes == cfg.total_bytes
+    assert sum(hi - lo for exts in plan.domains for lo, hi in exts) == cfg.total_bytes
     assert len(plan.server_groups) == plan.n_aggregators
 
 

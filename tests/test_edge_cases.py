@@ -134,7 +134,7 @@ def test_pnfs_block_layout_always_commits():
 # ------------------------------------------------------------- misc models
 def test_incast_efficiency_bounded():
     res = simulate_incast(ONE_GE, 8, n_blocks=3)
-    assert 0.0 < res.efficiency(ONE_GE) <= 1.0
+    assert 0.0 < res.goodput_Bps / ONE_GE.link_Bps <= 1.0
 
 
 def test_simpfs_zero_byte_write_and_read():

@@ -9,7 +9,6 @@ from repro.erasure import (
     ReedSolomon,
     diskreduce_capacity_overhead,
     mttdl_mirrored,
-    mttdl_raid5,
     mttdl_rs,
 )
 
@@ -220,13 +219,11 @@ def test_rs_roundtrip_property(data, k, m, seed):
 # ------------------------------------------------------------- reliability
 def test_mttdl_orderings():
     mttf, mttr = 1.0e6, 24.0
-    r5 = mttdl_raid5(mttf, mttr, n_disks=10)
+    r5 = mttdl_rs(mttf, mttr, k=9, m=1)  # RAID-5 over a 10-disk group
     rs_82 = mttdl_rs(mttf, mttr, k=8, m=2)
     rs_83 = mttdl_rs(mttf, mttr, k=8, m=3)
     # more parity -> vastly more reliable
     assert rs_83 > rs_82 > r5
-    # RAID5 over a 10-disk group equals 9+1 RS
-    assert mttdl_rs(mttf, mttr, k=9, m=1) == pytest.approx(r5)
 
 
 def test_mttdl_mirror_scaling():
@@ -237,9 +234,9 @@ def test_mttdl_mirror_scaling():
 
 def test_mttdl_validation():
     with pytest.raises(ValueError):
-        mttdl_raid5(-1, 24, 5)
+        mttdl_rs(-1, 24, 4, 1)
     with pytest.raises(ValueError):
-        mttdl_raid5(1e6, 2e6, 5)
+        mttdl_rs(1e6, 2e6, 4, 1)
     with pytest.raises(ValueError):
         mttdl_mirrored(1e6, 24, 0)
     with pytest.raises(ValueError):

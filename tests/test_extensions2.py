@@ -63,7 +63,7 @@ def test_readdir_takes_time_proportional_to_partitions():
 
 def test_readdir_down_owner_raises_instead_of_partial_listing():
     sim, service = _populated_service()
-    victim = service.map.owner(0)
+    victim = service.coordinator.map.owner(0)
     service.servers[victim].crash()      # before the coordinator notices
     with pytest.raises(ServerDown) as err:
         _readdir(sim, service)

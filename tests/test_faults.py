@@ -231,7 +231,7 @@ def _storage_bank(sim):
 def _metadata_bank(sim):
     # detection never fires in-window, so the ring (and the owner) holds
     service = GigaService(sim, ServiceParams(n_servers=2, failover_detect_s=1e3))
-    owner = service.map.owner(0)
+    owner = service.coordinator.map.owner(0)
 
     def request(tag):
         status, _ = yield from service._serve(owner, "lookup", tag, hash_name(tag))

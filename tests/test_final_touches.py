@@ -1,42 +1,9 @@
-"""Tests for the final fidelity touches: ninjat movies, POP/GTC profiles,
-directory stats."""
+"""Tests for the final fidelity touches: POP/GTC profiles, directory stats."""
 
 import numpy as np
-import pytest
 
 from repro.tracing.fsstats import directory_stats
-from repro.tracing.ninjat import movie_frames
-from repro.tracing.records import TraceEvent, TraceLog
 from repro.workloads import APP_CATALOG, app_pattern, pattern_bytes
-
-
-def _strided_log(n_ranks=4, record=50, steps=8):
-    log = TraceLog()
-    t = 0.0
-    for s in range(steps):
-        for r in range(n_ranks):
-            log.add(TraceEvent(t, r, "write", (s * n_ranks + r) * record, record))
-            t += 1.0
-    return log
-
-
-# ------------------------------------------------------------- movie
-def test_movie_frames_accumulate_coverage():
-    log = _strided_log()
-    frames = movie_frames(log, n_frames=4, width=16, height=16)
-    assert len(frames) == 4
-    coverage = [(f > 0).mean() for f in frames]
-    assert all(b >= a for a, b in zip(coverage, coverage[1:]))
-    assert coverage[-1] > coverage[0]
-    # final frame equals the full raster
-    from repro.tracing.ninjat import raster_wrapped
-
-    assert np.array_equal(frames[-1], raster_wrapped(log, width=16, height=16))
-
-
-def test_movie_frames_validation():
-    with pytest.raises(ValueError):
-        movie_frames(_strided_log(), n_frames=0)
 
 
 # ------------------------------------------------------------- app profiles

@@ -9,6 +9,7 @@ codes.  The x17-style collective test pins the acceptance criterion:
 makespan within 1%.
 """
 
+import dataclasses
 import io
 import json
 
@@ -45,7 +46,7 @@ def test_request_context_span_attrs_and_dict():
     assert ctx.span_attrs() == {"rid": 7, "tenant": "t0"}
     ctx.drops_pkts += 3
     ctx.rtos += 1
-    d = ctx.as_dict()
+    d = dataclasses.asdict(ctx)
     assert d["drops_pkts"] == 3 and d["rtos"] == 1 and d["retries"] == 0
 
 

@@ -17,6 +17,7 @@ happy path:
    current map — no global invalidation needed.
 """
 
+import copy
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -113,7 +114,7 @@ def test_stale_correction_converges_within_log2_shards(
     client_bitmap = None
     for i, choice in enumerate(split_choices):
         if i == stale_at:
-            client_bitmap = auth.copy()            # replica frozen mid-history
+            client_bitmap = copy.deepcopy(auth)            # replica frozen mid-history
         parts = auth.partitions()
         target = parts[choice % len(parts)]
         if auth.radix[target] >= MAX_RADIX:
@@ -123,7 +124,7 @@ def test_stale_correction_converges_within_log2_shards(
         except ValueError:
             continue
     if client_bitmap is None:
-        client_bitmap = auth.copy()
+        client_bitmap = copy.deepcopy(auth)
 
     current = ShardMap(range(n_servers))
     client_map = current
@@ -135,7 +136,7 @@ def test_stale_correction_converges_within_log2_shards(
     n_shards = max(1, len(auth))
     bound = max(1, math.ceil(math.log2(n_shards)))
     for h in sample_hashes(40):
-        cb = client_bitmap.copy()
+        cb = copy.deepcopy(client_bitmap)
         cmap = client_map
         redirects = 0
         while True:

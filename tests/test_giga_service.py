@@ -31,7 +31,7 @@ def test_crash_mid_split_aborts_without_losing_partitions():
     )
     sim = Simulator()
     service = GigaService(sim, p)
-    victim = service.map.owner(0)       # everything starts in partition 0
+    victim = service.coordinator.map.owner(0)       # everything starts in partition 0
     client = service.client(0)
 
     def proc():
@@ -97,8 +97,8 @@ def test_failover_reassigns_shards_via_registry():
 
     for c in range(4):
         sim.spawn(proc(c))
-    victim = service.map.owner(0)
-    v0 = service.map.version
+    victim = service.coordinator.map.owner(0)
+    v0 = service.coordinator.map.version
     sim.call_after(0.01, service.servers[victim].crash)
     sim.call_after(0.08, service.servers[victim].recover)
     sim.run()

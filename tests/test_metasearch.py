@@ -112,7 +112,7 @@ def test_owner_partitioning_prunes_owner_queries(namespace):
 def test_partition_size_bound(namespace):
     part = PartitionedIndex(namespace, max_partition_records=500)
     assert all(len(p.records) <= 500 for p in part.partitions)
-    assert part.total_records() == len(namespace)
+    assert sum(len(p.records) for p in part.partitions) == len(namespace)
 
 
 def test_rebuild_partition(namespace):

@@ -152,9 +152,9 @@ def test_global_index_last_writer_wins(tmp_path):
     assert [(s.start, s.end, s.payload.dropping) for s in segs] == [
         (0, 40, 0), (40, 60, 1), (60, 100, 0),
     ]
-    # physical location of the overwritten middle maps into dropping 1
-    path, phys = gi.physical_location(segs[1])
-    assert path == db and phys == 0
+    # the overwritten middle maps to the start of dropping 1
+    assert gi.data_paths[segs[1].payload.dropping] == db
+    assert segs[1].payload.physical_offset + segs[1].payload_offset == 0
 
 
 def test_global_index_read_into_fills_holes_with_zeros(tmp_path):

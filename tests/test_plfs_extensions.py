@@ -1,20 +1,14 @@
 """Tests for the PLFS follow-on features: compression, write batching,
-small-file packing, index pattern compression, parallel index build."""
+small-file packing, index pattern compression."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpi import run_spmd
 from repro.plfs import Plfs
 from repro.plfs.container import Container
 from repro.plfs.index import IndexEntry
-from repro.plfs.indexopt import (
-    PatternIndex,
-    compression_ratio,
-    detect_patterns,
-    parallel_build_entries,
-)
+from repro.plfs.indexopt import detect_patterns
 from repro.plfs.smallfile import (
     SmallFileReader,
     SmallFileWriter,
@@ -215,13 +209,18 @@ def test_detect_patterns_strided_run():
     assert len(runs) == 1 and not leftovers
     run = runs[0]
     assert (run.base, run.stride, run.length, run.count) == (0, 320, 64, 100)
-    assert compression_ratio(100, runs, leftovers) == 100.0
 
 
 def test_pattern_expand_roundtrip():
+    """A run's formula reproduces every record it replaced."""
     entries = _strided_entries(50)
     runs, leftovers = detect_patterns(entries)
-    assert PatternIndex(runs, leftovers).entries() == entries
+    expanded = [
+        IndexEntry(r.base + i * r.stride, r.length, r.physical_base + i * r.length,
+                   r.first_timestamp + i * r.timestamp_step, r.dropping)
+        for r in runs for i in range(r.count)
+    ]
+    assert sorted(expanded + leftovers, key=lambda e: e.timestamp) == entries
 
 
 def test_detect_patterns_irregular_records_left_over():
@@ -235,38 +234,3 @@ def test_detect_patterns_short_runs_not_compressed():
     entries = _strided_entries(2)
     runs, leftovers = detect_patterns(entries, min_run=3)
     assert not runs and len(leftovers) == 2
-
-
-def test_pattern_lookup_matches_bruteforce():
-    entries = _strided_entries(40, base=100, stride=500, length=120)
-    runs, leftovers = detect_patterns(entries)
-    pidx = PatternIndex(runs, leftovers)
-    for (qoff, qlen) in ((0, 50), (100, 1), (150, 5000), (100 + 39 * 500, 120), (50_000, 100)):
-        brute = [e for e in entries if e.logical_offset < qoff + qlen and e.logical_end > qoff]
-        got = sorted(pidx.lookup(qoff, qlen), key=lambda e: e.logical_offset)
-        assert got == sorted(brute, key=lambda e: e.logical_offset), (qoff, qlen)
-
-
-def test_parallel_index_build_equals_serial(fs):
-    fs.create("/p")
-    n_ranks, record, steps = 4, 64, 12
-    handles = [fs.open_write("/p", writer=f"rank{r}", create=False) for r in range(n_ranks)]
-    for s in range(steps):
-        for r, h in enumerate(handles):
-            h.write(bytes([r + 1]) * record, (s * n_ranks + r) * record)
-    for h in handles:
-        h.close()
-    container = Container.open(fs._resolve("/p"))
-    pairs = [(dp.data_path, dp.index_path) for dp in container.iter_droppings()]
-
-    def app(comm):
-        runs, leftovers = yield from parallel_build_entries(comm, pairs)
-        return (len(runs), len(leftovers), compression_ratio(
-            n_ranks * steps, runs, leftovers))
-
-    results = run_spmd(3, app)
-    # every rank converges on the identical global index description
-    assert len(set(results)) == 1
-    n_runs, n_left, ratio = results[0]
-    assert n_runs == n_ranks          # one strided run per writer
-    assert ratio >= steps             # steps-fold compression

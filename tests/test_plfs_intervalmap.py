@@ -11,7 +11,7 @@ def test_empty_map():
     assert len(m) == 0
     assert m.extent == 0
     assert m.query(0, 100) == []
-    assert m.payload_at(5) is None
+    assert m.query(5, 6) == []
 
 
 def test_single_insert_and_query():
@@ -69,7 +69,7 @@ def test_holes_absent_from_query():
     m.insert(20, 30, "b")
     segs = m.query(0, 30)
     assert [(s.start, s.end) for s in segs] == [(0, 10), (20, 30)]
-    assert m.payload_at(15) is None
+    assert m.query(15, 16) == []
 
 
 def test_empty_insert_ignored():
@@ -135,7 +135,7 @@ def test_query_equals_full_scan(ops, qstart, qlen):
     expect = sum(
         max(0, min(s.end, qstart + qlen) - max(s.start, qstart)) for s in full
     )
-    assert sum(s.length for s in segs) == expect
+    assert sum(s.end - s.start for s in segs) == expect
 
 
 # ------------------------------------------------------------- columns

@@ -108,6 +108,12 @@ def test_mkdir_and_nested_paths(fs):
     assert "day1" in fs.readdir("/runs")
 
 
+def test_readdir_of_a_file_is_not_a_directory(fs):
+    fs.write_file("/g", b"x")
+    with pytest.raises(NotADirectoryError):
+        fs.readdir("/g")
+
+
 def test_path_escape_rejected(fs):
     with pytest.raises(ValueError):
         fs.stat("/../../etc/passwd")
@@ -122,6 +128,8 @@ def test_truncate_zero(fs):
 
 def test_truncate_extend(fs):
     fs.write_file("/f", b"ab")
+    fs.truncate("/f", 2)  # the current size: a no-op
+    assert fs.read_file("/f") == b"ab"
     fs.truncate("/f", 10)
     assert fs.stat("/f")["size"] == 10
     assert fs.read_file("/f") == b"ab" + bytes(8)

@@ -296,17 +296,18 @@ def test_global_index_matches_byte_owner_oracle(tmp_path_factory, writers, compa
 
     segs = gi.lookup(0, size)
     assert all(a.end <= b.start for a, b in zip(segs, segs[1:]))
-    assert sum(s.length for s in segs) == gi.covered_bytes()
+    assert sum(s.end - s.start for s in segs) == gi.covered_bytes()
     for seg in segs:
         for b in range(seg.start, seg.end):
             lo, ln, po, sl, ts, d, _ = owner[b]
             assert seg.payload == IndexEntry(lo, ln, po, ts, d, seg.payload.stored_length)
-            assert seg.payload.stored == sl
+            assert (ln if seg.payload.stored_length < 0 else seg.payload.stored_length) == sl
             assert seg.payload_offset == seg.start - lo
         if not seg.payload.compressed:
-            path, phys = gi.physical_location(seg)
+            path = gi.data_paths[seg.payload.dropping]
+            phys = seg.payload.physical_offset + seg.payload_offset
             assert path == pairs[seg.payload.dropping][0]
-            assert path.read_bytes()[phys:phys + seg.length] == expect[seg.start:seg.end]
+            assert path.read_bytes()[phys:phys + seg.end - seg.start] == expect[seg.start:seg.end]
 
 
 # ------------------------------------------------------------- erasure

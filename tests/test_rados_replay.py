@@ -1,14 +1,10 @@
-"""Tests for RADOS-lite and //TRACE-style replay."""
+"""Tests for RADOS-lite."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pfs import PFSParams
 from repro.rados import RadosCluster, RadosError
-from repro.tracing import synth_app_trace
-from repro.tracing.records import TraceEvent, TraceLog
-from repro.tracing.replay import replay_trace
 
 
 # ------------------------------------------------------------- rados
@@ -124,39 +120,3 @@ def test_durability_under_failures_property(n_objects, kills):
     for name, data in blobs.items():
         assert c.read(name) == data
     assert c.degraded_objects() == []
-
-
-# ------------------------------------------------------------- replay
-def test_replay_conserves_ops_and_bytes():
-    rng = np.random.default_rng(1)
-    log = synth_app_trace(n_ranks=4, n_phases=2, rng=rng)
-    res = replay_trace(log, PFSParams(n_servers=4), think_time_scale=0.0)
-    assert res.ops_replayed == len(log)
-    assert res.bytes_written == log.total_bytes("write")
-    assert res.makespan_s > 0
-
-
-def test_replay_think_time_scales_makespan():
-    rng = np.random.default_rng(2)
-    log = synth_app_trace(n_ranks=2, n_phases=3, rng=rng, compute_s=10.0)
-    fast = replay_trace(log, PFSParams(n_servers=2), think_time_scale=0.0)
-    paced = replay_trace(log, PFSParams(n_servers=2), think_time_scale=1.0)
-    assert paced.makespan_s > 5 * fast.makespan_s
-    # captured pacing is dominated by the compute gaps
-    assert paced.makespan_s > 2 * 10.0
-
-
-def test_replay_rejects_negative_scale():
-    with pytest.raises(ValueError):
-        replay_trace(TraceLog(), PFSParams(), think_time_scale=-1.0)
-
-
-def test_replay_metadata_ops_counted():
-    log = TraceLog()
-    log.add(TraceEvent(0.0, 0, "open"))
-    log.add(TraceEvent(1.0, 0, "write", 0, 1000))
-    log.add(TraceEvent(2.0, 0, "sync"))
-    log.add(TraceEvent(3.0, 0, "close"))
-    res = replay_trace(log, PFSParams(n_servers=1))
-    assert res.ops_replayed == 4
-    assert res.bytes_written == 1000

@@ -18,7 +18,7 @@ from repro.tracing import (
     synth_app_trace,
     synth_file_sizes,
 )
-from repro.tracing.fsstats import bytes_cdf, scan_directory
+from repro.tracing.fsstats import scan_directory
 from repro.workloads import n1_segmented, n1_strided
 
 
@@ -49,7 +49,6 @@ def test_log_filter_and_totals():
     assert len(log.filter(op="write")) == 2
     assert len(log.filter(rank=1)) == 1
     assert log.total_bytes("write") == 200
-    assert log.duration() == 2.0
 
 
 def test_columns_shapes():
@@ -123,14 +122,9 @@ def test_profiles_count_eleven():
 def test_synth_sizes_and_cdf_monotone():
     rng = np.random.default_rng(3)
     sizes = synth_file_sizes(FS_PROFILES["hpc-scratch1"], 5000, rng)
-    x, f = size_cdf(sizes)
+    _, f = size_cdf(sizes)
     assert (np.diff(f) >= 0).all()
     assert f[-1] == pytest.approx(1.0)
-    xb, fb = bytes_cdf(sizes)
-    assert (np.diff(fb) >= -1e-12).all()
-    # most files are small, most bytes are in large files
-    mid = len(x) // 2
-    assert f[mid] > fb[mid]
 
 
 def test_survey_summary_fields():

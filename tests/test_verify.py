@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.giga.mapping import GigaBitmap
+from repro.giga.mapping import GigaBitmap, hash_name
 from repro.plfs.intervalmap import IntervalMap
 from repro.verify import InvariantViolation, explore
 
@@ -136,7 +136,7 @@ def _bitmap_of(state) -> GigaBitmap:
 def _giga_insert(name):
     def op(state):
         b = _bitmap_of(state)
-        p = b.partition_of_name(name)
+        p = b.partition_of(hash_name(name))
         return (state[0], state[1] + ((name, p),))
     return op
 
@@ -153,7 +153,7 @@ def _giga_split(partition):
         # server-side: re-home entries of the split partition
         moved = []
         for name, p in state[1]:
-            if p == partition and b.partition_of_name(name) == child:
+            if p == partition and b.partition_of(hash_name(name)) == child:
                 moved.append((name, child))
             else:
                 moved.append((name, p))
@@ -169,7 +169,7 @@ def test_giga_splits_never_lose_entries():
     def invariant(state):
         b = _bitmap_of(state)
         b.check_invariants()
-        return all(b.partition_of_name(n) == p for n, p in state[1])
+        return all(b.partition_of(hash_name(n)) == p for n, p in state[1])
 
     res = explore(
         _giga_state(),

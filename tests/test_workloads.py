@@ -9,7 +9,6 @@ from repro.workloads import (
     APP_CATALOG,
     S3DWeakScaling,
     app_pattern,
-    chombo_like,
     flash_like,
     iozone_bandwidth_sweep,
     iozone_random_iops,
@@ -94,12 +93,13 @@ def test_app_catalog_profiles():
 
 def test_app_pattern_deterministic_with_seed():
     rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-    assert chombo_like(4, rng1) == chombo_like(4, rng2)
+    chombo = APP_CATALOG["chombo"]
+    assert app_pattern(chombo, 4, rng1) == app_pattern(chombo, 4, rng2)
 
 
 def test_flash_records_smaller_than_chombo():
     f = flash_like(2)
-    c = chombo_like(2)
+    c = app_pattern(APP_CATALOG["chombo"], 2)
     f_mean = np.mean([n for _, n in _all_offsets(f)])
     c_mean = np.mean([n for _, n in _all_offsets(c)])
     assert f_mean < c_mean
