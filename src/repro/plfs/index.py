@@ -23,8 +23,10 @@ by timestamp, and the interval map's payload is the row number.  Rows
 that overlap no other row commute with every other insert, so they are
 bulk-loaded; only the clashing rest goes through ``IntervalMap.insert``
 one at a time, in timestamp order.  ``read_into`` walks the map's pieces
-and ``preadv``s each one straight into the caller's buffer; an
-:class:`IndexEntry` object exists only for callers of ``lookup()``.
+and gathers the ones that continue each other in one dropping's data into
+a run, read by one ``preadv`` straight into the caller's buffer (an N-1
+strided read is one call per dropping); an :class:`IndexEntry` object
+exists only for callers of ``lookup()``.
 
 Compaction merges records that are contiguous both logically and
 physically within one dropping, unless another record stamped inside the
@@ -50,6 +52,7 @@ from repro.plfs.intervalmap import IntervalMap, Segment
 
 _RECORD = struct.Struct("<qqqqd")
 RECORD_SIZE = _RECORD.size
+IOV_MAX = os.sysconf("SC_IOV_MAX")     # buffers one preadv may take
 # the same 40 bytes as a numpy record
 _DISK = np.dtype([
     ("logical_offset", "<i8"), ("length", "<i8"), ("physical_offset", "<i8"),
@@ -307,40 +310,55 @@ class GlobalIndex:
         """Fill ``out`` from the droppings; returns bytes that were mapped.
 
         ``files`` caches open data-dropping file objects by dropping id.
-        Holes are left as the buffer's existing (zero) content.
+        Holes are left as the buffer's existing (zero) content.  Pieces
+        that continue each other in one dropping's data are read as a run,
+        one ``preadv`` of up to ``IOV_MAX`` buffers, wherever in ``out``
+        they land.
         """
         if self._c_lookups is not None:
             self._c_lookups.value += 1.0
         dropping, physical, compressed = self._dropping, self._physical, self._compressed
+        runs: dict[int, list] = {}  # dropping -> [first byte, end byte, buffers]
         mapped = 0
         with memoryview(out) as view:
             for start, end, row, skip in self._map.pieces(offset, offset + len(out)):
                 d = dropping[row]
-                f = files.get(d)
-                if f is None:
-                    f = files[d] = open(self.data_paths[d], "rb")
                 rel = start - offset
                 n = end - start
+                mapped += n
                 if compressed[row]:
                     # decompress the whole stored blob, slice the segment
                     _, length, phys, _, _, stored = self._rows.item(row)
-                    blob = os.pread(f.fileno(), stored, phys)
-                    if len(blob) != stored:
-                        raise IOError(
-                            f"short read from {self.data_paths[d]}: "
-                            f"wanted {stored}, got {len(blob)}"
-                        )
+                    blob = bytearray(stored)
+                    self._read_run(files, d, phys, stored, [blob])
                     plain = zlib.decompress(blob)
                     if len(plain) != length:
                         raise IOError("compressed entry decompressed to wrong length")
                     view[rel:rel + n] = plain[skip:skip + n]
+                    continue
+                phys = physical[row] + skip
+                run = runs.get(d)
+                if run is not None and run[1] == phys and len(run[2]) < IOV_MAX:
+                    run[1] = phys + n
+                    run[2].append(view[rel:rel + n])
                 else:
-                    got = os.preadv(f.fileno(), [view[rel:rel + n]], physical[row] + skip)
-                    if got != n:
-                        raise IOError(
-                            f"short read from {self.data_paths[d]}: wanted {n}, got {got}"
-                        )
-                mapped += n
+                    if run is not None:
+                        self._read_run(files, d, run[0], run[1] - run[0], run[2])
+                    runs[d] = [phys, phys + n, [view[rel:rel + n]]]
+            for d, (first, stop, bufs) in runs.items():
+                self._read_run(files, d, first, stop - first, bufs)
         if self._c_read_bytes is not None:
             self._c_read_bytes.value += mapped
         return mapped
+
+    def _read_run(self, files: dict[int, BinaryIO], d: int, first: int, wanted: int,
+                  bufs: list) -> None:
+        """``preadv`` ``wanted`` bytes at ``first`` of dropping ``d`` into ``bufs``."""
+        f = files.get(d)
+        if f is None:
+            f = files[d] = open(self.data_paths[d], "rb")
+        got = os.preadv(f.fileno(), bufs, first)
+        if got != wanted:
+            raise IOError(
+                f"short read from {self.data_paths[d]}: wanted {wanted}, got {got}"
+            )

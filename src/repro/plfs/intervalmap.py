@@ -115,17 +115,20 @@ class IntervalMap:
         payload_offset)`` of each segment overlapping ``[start, end)``,
         clipped to the range."""
         if end <= start:
-            return
-        starts, ends, payloads, offsets = self._starts, self._ends, self._payloads, self._offsets
+            return zip()
+        starts, ends = self._starts, self._ends
         # ends are sorted too: from the first segment ending past ``start``
         # up to the first one starting at or past ``end``
         i = bisect.bisect_right(ends, start)
-        for k in range(i, bisect.bisect_left(starts, end, i)):
-            s, e, skip = starts[k], ends[k], offsets[k]
-            if s < start:
-                skip += start - s
-                s = start
-            yield s, (e if e < end else end), payloads[k], skip
+        j = bisect.bisect_left(starts, end, i)
+        s, e, skips = starts[i:j], ends[i:j], self._offsets[i:j]
+        if s:   # only the first and the last piece can stick out
+            if s[0] < start:
+                skips[0] += start - s[0]
+                s[0] = start
+            if e[-1] > end:
+                e[-1] = end
+        return zip(s, e, self._payloads[i:j], skips)
 
     def query(self, start: int, end: int) -> list[Segment]:
         """Segments overlapping ``[start, end)``, clipped to the range."""
