@@ -8,10 +8,12 @@ per-partition radixes) fully describes the directory's shape; any replica
 of it — however stale — still addresses a *superset* ancestor of the true
 partition, which is what makes lazy client correction safe.
 
-Mapping rule: take the hash's low ``MAX_RADIX`` bits; clear the top set
-bit until the value names an existing partition.  Because a partition's
-index encodes the low-bit suffix its entries share, this finds the deepest
-existing partition consistent with the hash.
+Mapping rule: take the hash's low bits up to the deepest radix in use;
+clear the top set bit until the value names an existing partition.
+Because a partition's index encodes the low-bit suffix its entries share,
+this finds the deepest existing partition consistent with the hash.  No
+partition index has a bit at or above the deepest radix, so starting
+there visits the same first match a walk from ``MAX_RADIX`` bits would.
 """
 
 from __future__ import annotations
@@ -28,10 +30,32 @@ def hash_name(name: str) -> int:
 
 
 class GigaBitmap:
-    """Split history: existing partitions and their radixes."""
+    """Split history: existing partitions and their radixes.
+
+    ``_mask`` caches ``(1 << deepest radix) - 1``; :meth:`split` and
+    :meth:`merge_from` keep it current, and assigning ``radix`` wholesale
+    recomputes it.
+    """
 
     def __init__(self) -> None:
-        self.radix: dict[int, int] = {0: 0}
+        self.radix = {0: 0}
+
+    @property
+    def radix(self) -> dict[int, int]:
+        """Partition index → radix (how many low hash bits it owns)."""
+        return self._radix
+
+    @radix.setter
+    def radix(self, value: dict[int, int]) -> None:
+        self._radix = value
+        self._mask = (1 << max(value.values(), default=0)) - 1
+
+    def copy(self) -> "GigaBitmap":
+        """An independent replica of this split history."""
+        new = GigaBitmap.__new__(GigaBitmap)
+        new._radix = dict(self._radix)
+        new._mask = self._mask
+        return new
 
     # -- queries -----------------------------------------------------
     def __contains__(self, partition: int) -> bool:
@@ -45,8 +69,9 @@ class GigaBitmap:
 
     def partition_of(self, h: int) -> int:
         """Deepest existing partition consistent with hash ``h``."""
-        i = h & ((1 << MAX_RADIX) - 1)
-        while i and i not in self.radix:
+        radix = self._radix
+        i = h & self._mask
+        while i and i not in radix:
             i &= ~(1 << (i.bit_length() - 1))
         return i
 
@@ -63,6 +88,7 @@ class GigaBitmap:
             raise ValueError(f"child partition {child} already exists")
         self.radix[partition] = r + 1
         self.radix[child] = r + 1
+        self._mask |= (1 << (r + 1)) - 1
         return child
 
     def useful_split(self, partition: int, hashes: Iterable[int]) -> bool:
@@ -93,16 +119,18 @@ class GigaBitmap:
             if mine is None or r > mine:
                 self.radix[p] = r
                 changed = True
+        self._mask |= other._mask
         return changed
 
     # -- invariants -----------------------------------------------------
     def check_invariants(self) -> None:
         """Every partition's parent chain exists with adequate radix, and
-        partition indices fit under their radix."""
+        partition indices fit under their radix and the cached mask."""
         assert 0 in self.radix
         for p, r in self.radix.items():
             assert 0 <= r <= MAX_RADIX
             assert p < (1 << MAX_RADIX)
+            assert p & ~self._mask == 0, f"partition {p} above mask {self._mask:#x}"
             if p:
                 assert p.bit_length() <= r, f"partition {p} too shallow (r={r})"
                 parent = p & ~(1 << (p.bit_length() - 1))

@@ -94,7 +94,8 @@ class ShardMap:
     Immutability is the caching contract: the coordinator publishes a
     *new* map (version + 1) on every membership change, and clients keep
     whatever snapshot they last saw — staleness is visible as a version
-    gap, never as a half-updated ring.
+    gap, never as a half-updated ring.  Because a map never changes, its
+    owners are memoized: each partition's ring lookup runs once per map.
 
     >>> m = ShardMap([0, 1, 2, 3])
     >>> m.owner(0) in (0, 1, 2, 3)
@@ -106,7 +107,7 @@ class ShardMap:
     (1, True)
     """
 
-    __slots__ = ("servers", "vnodes", "version", "_points", "_keys")
+    __slots__ = ("servers", "vnodes", "version", "_points", "_keys", "_owners")
 
     def __init__(
         self, servers: Iterable[int], vnodes: int = 16, version: int = 0
@@ -122,9 +123,17 @@ class ShardMap:
         points.sort()
         self._points = points
         self._keys = [h for h, _ in points]
+        self._owners: dict[int, int] = {}
 
     def owner(self, partition: int) -> int:
         """The single server owning ``partition`` under this map."""
+        o = self._owners.get(partition)
+        if o is None:
+            o = self._owners[partition] = self.ring_owner(partition)
+        return o
+
+    def ring_owner(self, partition: int) -> int:
+        """:meth:`owner` computed from the ring, bypassing the memo."""
         if not self._points:
             raise ValueError("shard map has no online servers")
         i = bisect.bisect_right(self._keys, hash_name(f"part:{partition}"))
@@ -307,7 +316,7 @@ class GigaService:
 
         ``status`` is ``"ok"`` (payload: True/False membership for
         lookup, hop count irrelevant here), ``"redirect"`` (the
-        client must merge the authoritative bitmap + current map and
+        client must adopt the authoritative bitmap + current map and
         retry at the new owner), or ``"down"`` (connection refused —
         retry through the coordinator).
         """
@@ -402,9 +411,11 @@ class GigaService:
             if status == "redirect":
                 redirects += 1
                 self.counters.add("redirects")
-                # the stale-bitmap hint: merge the authoritative split
-                # history and the current map off the reply
-                client.bitmap.merge_from(self.bitmap)
+                # the stale-bitmap hint: adopt the authoritative split
+                # history and the current map off the reply.  A replica
+                # only ever learns from replies, so it is a past state of
+                # the authority and the max-join would equal a copy.
+                client.bitmap = self.bitmap.copy()
                 client.map = self.coordinator.map
                 if redirects > p.max_redirects:
                     raise RetriesExhausted(
@@ -440,7 +451,7 @@ class GigaService:
         return a partial listing.  Returns the sorted entry names.
         """
         p = self.params
-        client.bitmap.merge_from(self.bitmap)
+        client.bitmap = self.bitmap.copy()
         client.map = self.coordinator.map
         names: list[str] = []
         for partition in client.bitmap.partitions():
@@ -480,8 +491,8 @@ class GigaService:
 
         Every entry is filed in exactly one bucket, at the deepest
         partition its hash addresses; every partition has exactly one
-        owner and that owner is online; no non-root partition is an
-        empty sibling.
+        owner, the memoized one is what the ring says, and that owner is
+        online; no non-root partition is an empty sibling.
         """
         self.bitmap.check_invariants()
         seen: dict[str, int] = {}
@@ -496,8 +507,12 @@ class GigaService:
                 assert self.bitmap.partition_of(h) == partition, (
                     f"{name} misfiled in partition {partition}"
                 )
+        shard_map = self.coordinator.map
         for partition in self.bitmap.partitions():
-            owner = self.coordinator.map.owner(partition)
+            owner = shard_map.ring_owner(partition)
+            assert shard_map.owner(partition) == owner, (
+                f"partition {partition}: memoized owner is stale"
+            )
             assert owner in self.coordinator.online, (
                 f"partition {partition} owned by offline server {owner}"
             )

@@ -10,6 +10,7 @@ from repro.giga import (
     GigaService,
     MAX_RADIX,
     ServiceParams,
+    ShardMap,
     hash_name,
     run_storm,
 )
@@ -160,6 +161,40 @@ def test_cluster_overflow_of_one_sided_partition_is_noop():
     assert service.counters["splits"] == 0
     assert len(service.bitmap) == 1                      # no empty sibling
     assert all(bucket for p, bucket in service.entries.items() if p != 0)
+
+
+def test_owner_of_an_empty_map_raises():
+    """Failing every server off the ring leaves no owner; the memo of the
+    maps before it must not hide that."""
+    m = ShardMap([0, 1, 2])
+    m.owner(5)
+    while len(m):
+        m = m.without(m.servers[0])
+        if len(m):
+            m.owner(5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="shard map has no online servers"):
+            m.owner(5)
+
+
+def test_check_invariants_catch_stale_caches():
+    """A memoized owner the ring disagrees with, or a partition above the
+    bitmap's cached mask, fails the invariant checks."""
+    sim = Simulator()
+    service = GigaService(sim, ServiceParams(n_servers=4))
+    service.check_invariants()
+    shard_map = service.coordinator.map
+    right = shard_map.owner(0)
+    shard_map._owners[0] = (right + 1) % 4
+    with pytest.raises(AssertionError, match="memoized owner is stale"):
+        service.check_invariants()
+
+    b = GigaBitmap()
+    b.radix[4] = 3                         # in place: the mask is not told
+    with pytest.raises(AssertionError, match="above mask"):
+        b.check_invariants()
+    b.radix = dict(b.radix)                # wholesale: the mask follows
+    b.check_invariants()
 
 
 def test_hash_name_stable_and_spread():

@@ -15,6 +15,9 @@ happy path:
    at most ``log2(n_shards)`` redirects, because a redirect reply merges
    the authoritative bitmap (the GIGA+ stale-bitmap hint) and the
    current map — no global invalidation needed.
+4. **Caches never diverge from recomputation** — the bitmap's cached
+   mask, the map's memoized owners and the redirect hint's copy give
+   exactly what the full-width walk, a fresh ring and the max-join give.
 """
 
 import copy
@@ -169,3 +172,113 @@ def test_failover_moves_only_the_dead_servers_shards(n_servers, split_choices):
             assert m2.owner(p) != victim           # failed over
         else:
             assert m2.owner(p) == m.owner(p)       # undisturbed
+
+
+# ------------------------------------------------------------ 4 ----
+def full_width_partition_of(radix, h):
+    """The reference walk: the hash's low ``MAX_RADIX`` bits, top set bit
+    cleared until the value names an existing partition."""
+    i = h & ((1 << MAX_RADIX) - 1)
+    while i and i not in radix:
+        i &= ~(1 << (i.bit_length() - 1))
+    return i
+
+
+def grow(b, choice):
+    """One split of ``b`` picked by ``choice``; skipped when impossible."""
+    parts = b.partitions()
+    target = parts[choice % len(parts)]
+    try:
+        b.split(target)
+    except (ValueError, OverflowError):
+        pass
+
+
+BITMAP_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["split", "grow_other", "merge", "copy", "deepcopy", "assign"]),
+        st.integers(0, 60),
+    ),
+    max_size=40,
+)
+HASHES = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=30)
+
+
+@given(BITMAP_OPS, HASHES)
+@settings(max_examples=80, deadline=None)
+def test_cached_mask_walk_equals_the_full_width_walk(ops, hashes):
+    """Whatever mix of split, merge_from, copy, deepcopy and wholesale
+    ``radix =`` assignment built the bitmap, ``partition_of`` finds the
+    partition the full-width walk finds."""
+    b = GigaBitmap()
+    other = GigaBitmap()                   # a second history to join in
+    history = [dict(b.radix)]
+    for op, k in ops:
+        if op == "split":
+            grow(b, k)
+        elif op == "grow_other":
+            grow(other, k)
+            history.append(dict(other.radix))
+        elif op == "merge":
+            b.merge_from(other)
+        elif op == "copy":
+            b = b.copy()
+        elif op == "deepcopy":
+            b = copy.deepcopy(b)
+        else:  # wholesale assignment, shallower or deeper than now
+            b.radix = dict(history[k % len(history)])
+        history.append(dict(b.radix))
+        b.check_invariants()
+        for h in hashes:
+            assert b.partition_of(h) == full_width_partition_of(b.radix, h)
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(1, 16),
+    st.lists(st.integers(0, 11), max_size=8),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 2000)), min_size=1, max_size=80),
+)
+@settings(max_examples=60, deadline=None)
+def test_memoized_owner_equals_a_fresh_ring(n_servers, vnodes, churn, queries):
+    """Along a ``without``/``with_server`` chain, owners queried in random
+    order (repeats hit the memo) equal a fresh map's, for every partition."""
+    m = ShardMap(range(n_servers), vnodes)
+    chain = [m]
+    for s in churn:
+        if s in m.servers and len(m) > 1:
+            m = m.without(s)
+        elif s not in m.servers:
+            m = m.with_server(s)
+        chain.append(m)
+    for i, partition in queries:
+        chain[i % len(chain)].owner(partition)
+    partitions = {partition for _, partition in queries}
+    for m in chain:
+        fresh = ShardMap(m.servers, m.vnodes)
+        for partition in partitions:
+            assert m.owner(partition) == fresh.owner(partition)
+            assert m.owner(partition) == m.ring_owner(partition)
+
+
+@given(SPLIT_HISTORIES, HASHES)
+@settings(max_examples=60, deadline=None)
+def test_hint_copy_equals_the_max_join(split_choices, hashes):
+    """A replica frozen at any point of the authority's history, given the
+    redirect hint, equals the max-join of that replica with the authority,
+    radix for radix; the copy is the client's own."""
+    auth = GigaBitmap()
+    replicas = [copy.deepcopy(auth)]
+    for choice in split_choices:
+        grow(auth, choice)
+        replicas.append(copy.deepcopy(auth))
+    for replica in replicas:
+        joined = copy.deepcopy(replica)
+        joined.merge_from(auth)
+        hinted = auth.copy()
+        assert hinted.radix == joined.radix
+        for h in hashes:
+            assert hinted.partition_of(h) == joined.partition_of(h)
+    before = dict(hinted.radix)
+    grow(auth, 0)
+    assert hinted.radix == before          # later authority splits: not shared
