@@ -11,7 +11,8 @@ This package closes the loop:
 * :class:`FaultableServer` — the one crash/park/recover/slowdown
   implementation every simulated server class derives from;
 * :class:`ResilienceParams` — per-op timeouts, retry budget, capped
-  exponential backoff with jitter for ``SimPFS`` clients;
+  exponential backoff with jitter for ``SimPFS`` clients
+  (:data:`NO_RETRIES`: one attempt, no timer — the default);
 * :class:`RedundancySpec` — the ``PFSParams.redundancy`` knob
   (``"mirror:c"`` / ``"rs:k+m"``), backing degraded reads with
   :class:`repro.erasure.reedsolomon.ReedSolomon`;
@@ -23,12 +24,13 @@ active :mod:`repro.obs` registry under ``faults.*``; see docs/faults.md.
 """
 
 from repro.faults.errors import FaultError, OpTimeout, RetriesExhausted, ServerDown
-from repro.faults.resilience import RedundancySpec, ResilienceParams
+from repro.faults.resilience import NO_RETRIES, RedundancySpec, ResilienceParams
 from repro.faults.schedule import KINDS, FaultEvent, FaultSchedule
 from repro.faults.server import FaultableServer
 
 __all__ = [
     "KINDS",
+    "NO_RETRIES",
     "FaultError",
     "FaultEvent",
     "FaultSchedule",

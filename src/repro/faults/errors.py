@@ -1,8 +1,7 @@
 """Error taxonomy for fault-injected runs.
 
-The assume-success data path of :class:`repro.pfs.SimPFS` gains three
-distinguishable failure modes once a :class:`~repro.faults.FaultSchedule`
-is in play:
+The data path of :class:`repro.pfs.SimPFS` has three distinguishable
+failure modes once a :class:`~repro.faults.FaultSchedule` is in play:
 
 * :class:`ServerDown` — a storage server rejected the request outright
   (crashed in ``reject`` mode: the "connection refused" case);

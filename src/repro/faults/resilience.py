@@ -1,10 +1,13 @@
 """Client-side resilience knobs and redundancy schemes.
 
 :class:`ResilienceParams` configures the retry machinery
-:class:`repro.pfs.SimPFS` wraps around every server request when fault
-tolerance is enabled: a per-op timeout, a retry budget, and capped
-exponential backoff with optional jitter (seeded RNG, mirroring the RTO
-machinery in :mod:`repro.net.fabric`).
+:class:`repro.pfs.SimPFS` wraps around every server request: a per-op
+timeout, a retry budget, and capped exponential backoff with optional
+jitter (seeded RNG, mirroring the RTO machinery in
+:mod:`repro.net.fabric`).  :data:`NO_RETRIES` is the value a
+``SimPFS`` without redundancy or explicit resilience runs under: one
+attempt per request, no timer — a fault surfaces as
+:class:`~repro.faults.errors.RetriesExhausted` at once.
 
 :class:`RedundancySpec` parses the ``PFSParams.redundancy`` knob:
 
@@ -22,6 +25,7 @@ Neither class imports the file system — :mod:`repro.pfs.params` imports
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +39,8 @@ class ResilienceParams:
     Attributes
     ----------
     op_timeout_s: per-server-request timeout; a request with no reply by
-        then raises :class:`~repro.faults.errors.OpTimeout`.  Must exceed
+        then raises :class:`~repro.faults.errors.OpTimeout`
+        (``math.inf``: wait for the reply, arm no timer).  Must exceed
         the worst-case FIFO queue drain on one server under failover
         load, or timed-out-but-queued requests are retried into an
         already-full queue and the client talks itself into a retry storm
@@ -75,6 +80,11 @@ class ResilienceParams:
         if self.jitter and rng is not None:
             return base * (0.5 + float(rng.random()))
         return base
+
+
+#: One attempt per request and no timeout: what ``SimPFS`` runs under when
+#: neither ``resilience`` nor ``redundancy`` is set.
+NO_RETRIES = ResilienceParams(op_timeout_s=math.inf, max_retries=0)
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,8 @@ class PFSParams:
         ``"congestion:<base>"`` (fabric-feedback re-weighting; see
         docs/placement.md).
     redundancy: data redundancy for degraded-mode operation.  ``None``
-        (default) keeps the historical single-copy assume-success path
-        bit-identical.  Otherwise a spec understood by
+        (default) stores one copy, so a request to a dead server fails
+        once its retries are spent.  Otherwise a spec understood by
         :meth:`repro.faults.RedundancySpec.parse` — ``"mirror:<c>"`` or
         ``"rs:<k>+<m>"`` (Reed-Solomon parity via
         :mod:`repro.erasure.reedsolomon`); reads that hit a dead server
@@ -73,9 +73,10 @@ class PFSParams:
         docs/faults.md).
     resilience: client retry machinery
         (:class:`repro.faults.ResilienceParams`: per-op timeout, retry
-        budget, capped exponential backoff + jitter).  ``None`` keeps the
-        legacy no-timeout path; setting ``redundancy`` implies a default
-        ``ResilienceParams()`` if none is given.
+        budget, capped exponential backoff + jitter).  ``None`` means
+        a default ``ResilienceParams()`` when ``redundancy`` is set, and
+        otherwise :data:`repro.faults.NO_RETRIES` (one attempt, no
+        timeout).
     """
 
     name: str = "generic"

@@ -8,6 +8,7 @@ application rank that performs metadata and data operations through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 from repro.devices.disk import Disk
 from repro.erasure.reedsolomon import ReedSolomon
 from repro.faults.errors import FaultError, OpTimeout, RetriesExhausted, ServerDown
-from repro.faults.resilience import RedundancySpec, ResilienceParams
+from repro.faults.resilience import NO_RETRIES, RedundancySpec, ResilienceParams
 from repro.faults.server import FaultableServer
 from repro.net.fabric import Topology
 from repro.net.params import Link
@@ -247,11 +248,13 @@ class SimPFS:
         self.mds = self.mds_servers[0]
         self._files: dict[str, FileHandle] = {}
         self._next_id = 0
-        # degraded-mode machinery (all opt-in; None/None keeps the historical
-        # assume-success data path bit-identical — pinned by the golden
-        # makespans in tests/test_fabric_equivalence.py)
+        # degraded-mode machinery: redundancy is opt-in; every request runs
+        # under a ResilienceParams — the one given, a default one when
+        # redundancy is set, else NO_RETRIES (one attempt, no timer)
         red = self.redundancy = RedundancySpec.parse(params.redundancy)
-        self.resilience: Optional[ResilienceParams] = params.resilience
+        self.resilience: ResilienceParams = params.resilience or (
+            ResilienceParams() if red is not None else NO_RETRIES
+        )
         self._rs_codec: Optional[ReedSolomon] = None
         # stripe-health ledger: which share lives where, what is lost.
         # Pure bookkeeping (no sim time), recorded by the resilient write
@@ -264,16 +267,10 @@ class SimPFS:
                     f"redundancy {red} needs >= {red.min_servers} "
                     f"servers, have {params.n_servers}"
                 )
-            if self.resilience is None:
-                self.resilience = ResilienceParams()
             self.ledger = StripeLedger(red)
             if red.kind == "rs":
                 self._rs_codec = ReedSolomon(red.k, red.m)
-        self._ft_rng = (
-            np.random.default_rng(self.resilience.seed)
-            if self.resilience is not None
-            else None
-        )
+        self._ft_rng = np.random.default_rng(self.resilience.seed)
         # parity-share space allocation per (file_id, server)
         self._parity_off: dict[tuple[int, int], int] = {}
         self.obs = sim.obs
@@ -303,8 +300,8 @@ class SimPFS:
                dest_server: Optional[int] = None, local: bool = False) -> Event:
         """Queue one request on ``server``; returns its completion event.
 
-        Every server request of every path (legacy, resilient, scrub) is
-        built here.  ``parity`` files the extents under the file's shadow
+        Every server request (client data, redundancy, scrub) is built
+        here.  ``parity`` files the extents under the file's shadow
         id, so redundancy and rebuilt shares never alias data chunks in
         the server's allocation map.
         """
@@ -341,10 +338,6 @@ class SimPFS:
     def exists(self, path: str) -> bool:
         return path in self._files
 
-    @property
-    def file_count(self) -> int:
-        return len(self._files)
-
     # -- metadata operations (simulation processes) -----------------------
     def _mds_for(self, path: str) -> Resource:
         if len(self.mds_servers) == 1:
@@ -375,15 +368,6 @@ class SimPFS:
     def op_open(self, client: int, path: str):
         yield from self._mds_op(1, extra_s=self.security.per_open_s, path=path)
         return self.lookup(path)
-
-    def op_stat(self, client: int, path: str):
-        yield from self._mds_op(1, path=path)
-        fh = self.lookup(path)
-        return {"size": fh.size, "file_id": fh.file_id}
-
-    def op_unlink(self, client: int, path: str):
-        yield from self._mds_op(1, path=path)
-        self._files.pop(path, None)
 
     # -- POSIX HEC extensions (report §2.2) ---------------------------------
     def op_group_open(self, clients: Sequence[int], path: str):
@@ -444,10 +428,10 @@ class SimPFS:
             self._c_client[(what, client)].inc(nbytes)
             sp.finish(at=self.sim.now)
 
-    # -- degraded-mode data path --------------------------------------------
-    # Active only when params.resilience / params.redundancy are set; the
-    # legacy assume-success path above each branch is untouched so default
-    # configurations stay bit-identical.  See docs/faults.md.
+    # -- fault-aware data path -----------------------------------------------
+    # Every op_write/op_read request runs through these: one child per
+    # server, raced against the op timeout, retried per self.resilience,
+    # redirected or reconstructed when redundancy allows.  See docs/faults.md.
 
     def _fcount(self, name: str, amount: float = 1.0, **labels) -> None:
         if self.obs is not None:
@@ -576,13 +560,16 @@ class SimPFS:
         """Race ``ev`` against the per-op timeout (``resilience.op_timeout_s``).
 
         Returns an event that succeeds/fails with ``ev``'s outcome, or fails
-        with :class:`OpTimeout` if the deadline fires first.  Simulator timers
-        cannot be cancelled, so a won race leaves a no-op callback pending —
-        drivers must therefore measure makespans from process finish times,
-        not the final ``sim.now``.
+        with :class:`OpTimeout` if the deadline fires first.  An infinite
+        timeout has no race: ``ev`` itself comes back, with no timer and no
+        waiter.  Simulator timers cannot be cancelled, so a won finite race
+        leaves a no-op callback pending — callers must therefore measure
+        makespans from process finish times, not the final ``sim.now``.
         """
         sim = self.sim
         timeout_s = self.resilience.op_timeout_s
+        if timeout_s == math.inf:
+            return ev
         race = sim.event(f"ft.race@{server}")
 
         def waiter():
@@ -817,65 +804,48 @@ class SimPFS:
         by_server = yield from self._by_server(fh, offset, nbytes)
         # 3. client NIC serialization (through the fabric's host link)
         yield from self._client_xfer(client, nbytes, sp)
-        # 4. issue to servers and wait for all.
-        # Why the legacy fan-out is still here beside the resilient one
-        # (same fork in op_read): running it as the resilient path under a
-        # null ResilienceParams was prototyped for ISSUE 12 — 811/812 tier-1
-        # tests and every golden held, but 32 clients x 32 x 1 MiB write +
-        # read-back on 16 servers went 102,512 -> 168,048 events (+64 %)
-        # and 0.47 -> 0.63 s median wall (+33 %) on the ideal fabric every
-        # paper figure uses (+7 % events, +6-10 % wall on a 64-pkt fabric):
-        # a child process + race per server request is not free.  Issuing
-        # first attempts inline and spawning a retry child only after a
-        # failure would beat both, but moves events_dispatched on
-        # ckpt_exact/meta_scrub (pinned in perf/expected.json) — that needs
-        # a benchmark PR first.
-        if self.resilience is None:
-            events = [
-                self._issue(f"w:{path}@{server}", server, fh.file_id, client, sexts,
-                            sum(e.length for e in sexts), True, sp, ctx)
-                for server, sexts in by_server.items()
-            ]
-            for ev in events:
-                yield Wait(ev)
-        else:
-            # resilient path: one retrying child process per target server,
-            # plus redundancy writes (mirror copies / RS parity shares).
-            # With redundancy active the write (re-)places one stripe
-            # group in the health ledger; children record their shares at
-            # the actual landing server as they complete.
-            group, ptargets = None, []
-            if self.redundancy is not None:
-                group = self.ledger.begin_group(fh.file_id, offset)
-                ptargets = self._parity_targets(by_server, nbytes)
-                # claim every intended landing up front: a child that
-                # redirects must not collide with a sibling that has not
-                # started yet
-                group.claims.update(by_server.keys())
-                group.claims.update(s for s, _ in ptargets)
-            procs = []
-            for server, sexts in by_server.items():
-                sbytes = sum(e.length for e in sexts)
-                procs.append(
-                    self.sim.spawn(
-                        self._ft_write_child(fh, client, server, sexts, sbytes, sp,
-                                             ctx=ctx, group=group),
-                        name=f"ftw:{fh.file_id}@{server}",
-                    )
+        # 4. one retrying child per target server, plus redundancy writes
+        #    (mirror copies / RS parity shares); wait for all.  With
+        #    redundancy the write (re-)places one stripe group in the
+        #    health ledger; children record their shares where they land.
+        # One path has a price: a child per request is two kernel events
+        # (spawn, join) more than queueing it inline.  32 clients x 32 x
+        # 1 MiB write + read-back on 16 servers, ideal fabric: 102,512 ->
+        # 168,048 events, 0.86 -> 1.05 s median wall (64-pkt fabric: +7 %
+        # events, +6 % wall); makespans bit-identical.  Issuing first
+        # attempts inline, with a child only after a failure, wins it back.
+        group, ptargets = None, []
+        if self.redundancy is not None:
+            group = self.ledger.begin_group(fh.file_id, offset)
+            ptargets = self._parity_targets(by_server, nbytes)
+            # claim every intended landing up front: a child that
+            # redirects must not collide with a sibling that has not
+            # started yet
+            group.claims.update(by_server.keys())
+            group.claims.update(s for s, _ in ptargets)
+        procs = []
+        for server, sexts in by_server.items():
+            sbytes = sum(e.length for e in sexts)
+            procs.append(
+                self.sim.spawn(
+                    self._ft_write_child(fh, client, server, sexts, sbytes, sp,
+                                         ctx=ctx, group=group),
+                    name=f"ftw:{fh.file_id}@{server}",
                 )
-            pbytes = sum(b for _, b in ptargets)
-            if pbytes:
-                # redundant bytes also cross the client's host link
-                yield from self.topology.client_xfer(client, pbytes)
-            for pserver, pb in ptargets:
-                procs.append(
-                    self.sim.spawn(
-                        self._ft_write_child(fh, client, pserver, None, pb, sp,
-                                             parity=True, ctx=ctx, group=group),
-                        name=f"ftp:{fh.file_id}@{pserver}",
-                    )
+            )
+        pbytes = sum(b for _, b in ptargets)
+        if pbytes:
+            # redundant bytes also cross the client's host link
+            yield from self.topology.client_xfer(client, pbytes)
+        for pserver, pb in ptargets:
+            procs.append(
+                self.sim.spawn(
+                    self._ft_write_child(fh, client, pserver, None, pb, sp,
+                                         parity=True, ctx=ctx, group=group),
+                    name=f"ftp:{fh.file_id}@{pserver}",
                 )
-            yield from self._ft_gather(procs)
+            )
+        yield from self._ft_gather(procs)
         fh.size = max(fh.size, offset + nbytes)
         self._end_op("bytes_written", client, nbytes, sp)
         return self.sim.now - start
@@ -894,28 +864,19 @@ class SimPFS:
         start = self.sim.now
         sp, ctx = self._begin_op("read", client, nbytes, parent_span, ctx)
         by_server = yield from self._by_server(fh, offset, nbytes)
-        if self.resilience is None:
-            events = [
-                self._issue(f"r:{path}@{server}", server, fh.file_id, client, sexts,
-                            sum(e.length for e in sexts), False, sp, ctx)
-                for server, sexts in by_server.items()
-            ]
-            for ev in events:
-                yield Wait(ev)
-        else:
-            # resilient path: retrying child per server; a child whose server
-            # is down fails over to erasure-coded / mirrored reconstruction
-            procs = [
-                self.sim.spawn(
-                    self._ft_read_child(
-                        fh, client, server, sexts, sum(e.length for e in sexts), sp,
-                        ctx=ctx,
-                    ),
-                    name=f"ftr:{fh.file_id}@{server}",
-                )
-                for server, sexts in by_server.items()
-            ]
-            yield from self._ft_gather(procs)
+        # one retrying child per server; a child whose server is down
+        # fails over to erasure-coded / mirrored reconstruction
+        procs = [
+            self.sim.spawn(
+                self._ft_read_child(
+                    fh, client, server, sexts, sum(e.length for e in sexts), sp,
+                    ctx=ctx,
+                ),
+                name=f"ftr:{fh.file_id}@{server}",
+            )
+            for server, sexts in by_server.items()
+        ]
+        yield from self._ft_gather(procs)
         yield from self._client_xfer(client, nbytes, sp)
         self._end_op("bytes_read", client, nbytes, sp)
         return self.sim.now - start

@@ -100,9 +100,10 @@ def run_direct_n1(
     ``faults`` injects a :class:`repro.faults.FaultSchedule` at measurement
     start (event times are relative to the measured run, not file setup).
     Makespans are measured from the last rank's finish time, not the final
-    ``sim.now`` — uncancellable per-op timeout timers from the resilient
-    client path may tick past the real completion.  In default
-    configurations the two coincide bit for bit.
+    ``sim.now`` — uncancellable timers of a finite ``op_timeout_s`` may
+    tick past the real completion.  Under the default
+    :data:`repro.faults.NO_RETRIES` there is no timer and the two
+    coincide bit for bit.
     """
     params = _with_fabric(params, fabric, placement, redundancy, resilience)
     sim = Simulator()

@@ -66,7 +66,7 @@ def run_faulted_checkpoint(
 
     ``faults`` supplies both the application interrupts (``app_interrupt``
     events, consumed here) and any storage faults (``server_crash`` etc.,
-    injected into the PFS).  Raises whatever the resilient client path
+    injected into the PFS).  Raises whatever the client request path
     raises when redundancy cannot mask a fault — notably
     :class:`repro.faults.RetriesExhausted` with ``redundancy=None`` and a
     long server outage.

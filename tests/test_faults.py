@@ -9,6 +9,8 @@ fault seed, two runs, identical makespans and identical ``faults.*``
 counters.
 """
 
+import math
+
 import pytest
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from repro import obs as obs_mod
 from repro.failure.traces import synth_interrupt_trace
 from repro.faults import (
+    NO_RETRIES,
     FaultableServer,
     FaultEvent,
     FaultSchedule,
@@ -300,9 +303,38 @@ def test_redundancy_needs_enough_servers():
         SimPFS(Simulator(), PFSParams(n_servers=4, redundancy="rs:4+2"))
 
 
-def test_default_params_have_no_fault_machinery():
-    _, pfs = _pfs()
-    assert pfs.resilience is None and pfs.redundancy is None
+def test_default_params_make_one_attempt_without_retries():
+    def app(pfs):
+        yield from pfs.op_create(0, "/f")
+        pfs.servers[0].crash()  # reject flavor
+        with pytest.raises(RetriesExhausted) as exc_info:
+            yield from pfs.op_write(0, "/f", 0, 64 * 1024)
+        assert isinstance(exc_info.value.last, ServerDown)
+        assert exc_info.value.attempts == 1
+
+    with obs_mod.use(obs_mod.Observability(name="no-retries")) as o:
+        sim, pfs = _pfs()
+        assert pfs.resilience == NO_RETRIES and pfs.redundancy is None
+        run_app(sim, app(pfs))
+        counters = o.metrics.snapshot()["counters"]
+    assert pfs.server_stats()[0]["requests_rejected"] == 1
+    assert counters["faults.server_down_errors"] == 1.0
+    assert counters["faults.retries_exhausted"] == 1.0
+    assert "faults.retries" not in counters
+
+
+def test_infinite_timeout_leaves_no_timer_behind():
+    sim, pfs = _pfs(PFSParams(resilience=ResilienceParams(op_timeout_s=math.inf)))
+    finish = []
+
+    def app():
+        yield from pfs.op_create(0, "/f")
+        yield from pfs.op_write(0, "/f", 0, 1 << 20)
+        finish.append(sim.now)
+
+    run_app(sim, app())
+    assert 0.0 < finish[0] < 1.0
+    assert sim.now == finish[0]
 
 
 # -- injection diagnostics (SimulationError contract) --------------------

@@ -16,7 +16,7 @@ def _create_storm(n_mds: int, n_files: int = 64) -> float:
     for i in range(n_files):
         sim.spawn(creator(i))
     makespan = sim.run()
-    assert pfs.file_count == n_files
+    assert all(pfs.exists(f"/dir/f.{i}") for i in range(n_files))
     return makespan
 
 
