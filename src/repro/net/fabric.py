@@ -426,9 +426,8 @@ class Topology:
         # so only the part of the floor the drain hasn't covered is
         # charged — uncontended this is exactly rounds*rtt + the
         # non-bottleneck hop serialization, making fluid == exact there.
-        pkt_times = [p.pkt_time_s for p in path]
         rounds = windowed_rounds(npkts, min(fab.init_cwnd, max_w), max_w)
-        t_floor = t0 + npkts * sum(pkt_times) + rounds * fab.rtt_s
+        t_floor = t0 + npkts * sum([p.pkt_time_s for p in path]) + rounds * fab.rtt_s
         # The exact engine ends *every* round — including the last — with
         # an RTT ack wait.  A clean synchronized cohort stays in lockstep,
         # so each round's RTT goes unoverlapped except for what the other

@@ -44,7 +44,10 @@ documented tolerance of the exact engine (see ``docs/performance.md``):
    (tail-drop in arrival order, halve on partial loss, RTO on
    full-window loss) and returns each flow's total RTO stall; stalled
    flows simply join the rate allocation late.  No per-packet events,
-   same cliff.
+   same cliff.  A cohort is the flows arriving at one instant for one
+   destination (last) hop: ``start_flow`` queues that port and the
+   packet count with each arrival, and the cohort's drops and RTOs
+   land on the port as one bump each.
 
 Determinism: the engine consumes no randomness — tail-drop order is
 arrival order, and all arithmetic is order-stable — so same-seed runs
@@ -418,7 +421,7 @@ class FluidEngine:
         self._events: list = []
         self._free: list[int] = []
         self._tails: dict[int, float] = {}  # id(event) -> post-drain tail (s)
-        # arrivals since the last epoch: (slot, cwnd_cap, ctx)
+        # arrivals since the last epoch: (slot, cwnd_cap, ctx, dest, npkts)
         self._pending: list = []
         # flows waiting out a probe stall: heap of (wake_t, slot)
         self._stalled: list = []
@@ -478,13 +481,11 @@ class FluidEngine:
             self._n += 1
         self._rem[slot] = float(npkts) * self.fab.pkt_bytes
         self._rate[slot] = 0.0
-        hops = self._hops[slot]
-        hops[:] = -1
-        for i, p in enumerate(path):
-            hops[i] = self._port_id(p)
+        hops = [self._port_id(p) for p in path]
+        self._hops[slot] = hops + [-1] * (self.MAX_HOPS - len(hops))
         ev = self.sim.acquire_event(name="fluid.xfer")
         self._events[slot] = ev
-        self._pending.append((slot, cwnd_cap, ctx))
+        self._pending.append((slot, cwnd_cap, ctx, hops[-1], npkts))
         self.flows_started += 1
         # one epoch per distinct arrival timestamp, however many flows
         self.sim.call_at_coalesced(self.sim.now, ("fluid", id(self)), self._epoch)
@@ -500,12 +501,12 @@ class FluidEngine:
     #: (dicts and floats); above it, vectorized numpy.  The steady state
     #: of an RPC-heavy workload is one or two live flows per epoch, and
     #: numpy's fixed per-call overhead would dominate there.
-    #: Measured for ISSUE 12, so nobody deletes the scalar path blind: the
-    #: perf `storm_fluid` workload cannot decide (0 of its 1,804 epochs
-    #: are this small; ops_per_s 22,142 vs 21,607 with SMALL = 0, inside
-    #: noise), but a fluid-mode `run_storm(8, 64, 100)` has 61,200 of
-    #: 61,215 epochs at <= 8 live flows and goes 0.84 s -> 2.0-2.2 s
-    #: without it.  Selected by an observed input size, 2.4x on its side.
+    #: Measured (2-core VM, medians of 5 alternated runs) so nobody
+    #: deletes the scalar path blind: perf `storm_fluid` cannot decide
+    #: (none of its 902 non-empty epochs is this small; ops_per_s 15,795
+    #: vs 15,400 with SMALL = 0, inside noise), but a fluid-mode
+    #: `run_storm(8, 64, 100)` has 22,261 of 22,264 epochs at <= 8 live
+    #: flows and goes 0.97 s -> 2.79 s without it, same makespan (2.9x).
     SMALL = 8
 
     def _advance(self, now: float) -> None:
@@ -541,6 +542,13 @@ class FluidEngine:
         return self._tails.pop(id(ev), self.fab.rtt_s)
 
     def _activate_pending(self, now: float) -> None:
+        """Admit this instant's arrivals and the stalls that expired.
+
+        Arrivals are grouped into cohorts by the destination port id
+        ``start_flow`` queued with them, and probed with the packet
+        counts queued there (a pending flow's ``_rem`` still holds
+        exactly that many packets).
+        """
         pending, self._pending = self._pending, []
         fab = self.fab
         # release stalled flows whose RTO expired
@@ -554,61 +562,57 @@ class FluidEngine:
             # synchronized cohort: the solo floor already carries their
             # full ack tail from t0, and any drain delay means other
             # traffic desynchronized them — one trailing RTT.
-            for slot, _cap, _ctx in pending:
-                self._live.add(slot)
+            self._live.update(item[0] for item in pending)
             return
         # synchronized cohorts, grouped by destination (last) hop
         cohorts: dict[int, list] = {}
         for item in pending:
-            hops = self._hops[item[0]]
-            last = int(hops[int((hops >= 0).sum()) - 1])  # destination hop
-            cohorts.setdefault(last, []).append(item)
+            cohorts.setdefault(item[3], []).append(item)
         for dest, items in cohorts.items():
-            if len(items) < 2:
+            n = len(items)
+            if n < 2:
                 self._live.add(items[0][0])
                 continue
             port = self._ports[dest]
             self.probes += 1
-            sizes = np.array(
-                [max(1, int(round(self._rem[s] / fab.pkt_bytes))) for s, _, _ in items],
-                dtype=np.int64,
-            )
-            caps = np.array([c for _, c, _ in items], dtype=np.int64)
             stall, timeouts, drops = burst_stalls(
-                sizes, caps,
-                init_cwnd=fab.init_cwnd,
-                cap_pkts=port.round_capacity_pkts,
-                pkt_time_s=port.pkt_time_s,
-                rtt_s=fab.rtt_s,
+                np.fromiter((it[4] for it in items), np.int64, n),  # packets
+                np.fromiter((it[1] for it in items), np.int64, n),  # cwnd caps
+                init_cwnd=fab.init_cwnd, cap_pkts=port.round_capacity_pkts,
+                pkt_time_s=port.pkt_time_s, rtt_s=fab.rtt_s,
                 rto_s=fab.rto_s(),  # the probe is deterministic: unjittered
             )
-            # A cohort the probe found clean (no drops, no RTOs) stays in
-            # *lockstep* in exact mode: every member idles through each
-            # ack gap at the same instant, and only the part of each
-            # round's RTT that the other members' transmissions don't
-            # cover goes unoverlapped (see :func:`lockstep_tail_s`).
-            # Any loss breaks the symmetry (halved windows / staggered
-            # RTO returns) and only the final RTT survives — the
-            # :meth:`pop_tail_s` default.
-            clean = not bool(timeouts.any()) and not bool(drops.any())
-            for i, (slot, _cap, ctx) in enumerate(items):
-                if clean:
+            lost = int(drops.sum())  # every RTO loses its window too
+            if lost:
+                # the cohort's damage lands on its port in one bump each,
+                # and on the requests that carry a context
+                port.record_timeouts(int(timeouts.sum()))
+                port.record_drops(lost)
+                with_ctx = [i for i, it in enumerate(items) if it[2] is not None]
+                for i, d, t in zip(with_ctx, drops[with_ctx].tolist(),
+                                   timeouts[with_ctx].tolist()):
+                    ctx = items[i][2]
+                    ctx.drops_pkts += d
+                    ctx.rtos += t
+            else:
+                # A clean cohort stays in *lockstep* in exact mode: every
+                # member idles through each ack gap at once, and only the
+                # part of each RTT the other members' transmissions don't
+                # cover goes unoverlapped (:func:`lockstep_tail_s`).  Any
+                # loss breaks the symmetry (halved windows / staggered RTO
+                # returns): only the final RTT survives, the
+                # :meth:`pop_tail_s` default.
+                for slot, cap, _ctx, _dest, npkts in items:
                     self._set_tail(slot, lockstep_tail_s(
-                        int(sizes[i]), fab.init_cwnd, int(caps[i]),
-                        len(items), port.pkt_time_s, fab.rtt_s,
+                        npkts, fab.init_cwnd, cap, n, port.pkt_time_s, fab.rtt_s,
                     ))
-                if timeouts[i]:
-                    port.record_timeouts(int(timeouts[i]))
-                if drops[i]:
-                    port.record_drops(int(drops[i]))
-                if ctx is not None:
-                    ctx.drops_pkts += int(drops[i])
-                    ctx.rtos += int(timeouts[i])
-                if stall[i] > 0:
+            # a memoryview yields Python floats lazily: no cohort-sized list
+            for item, s in zip(items, memoryview(stall)):
+                if s > 0.0:
                     self.stalled_flows += 1
-                    heapq.heappush(self._stalled, (now + float(stall[i]), slot))
+                    heapq.heappush(self._stalled, (now + s, item[0]))
                 else:
-                    self._live.add(slot)
+                    self._live.add(item[0])
 
     def _complete(self, now: float) -> None:
         if not self._live:
@@ -626,11 +630,7 @@ class FluidEngine:
             mask = self._rem[idx] <= np.maximum(_EPS_BYTES, self._rate[idx] * self.tick_s)
             done = idx[mask].tolist()
         for slot in done:
-            slot = int(slot)
             self._live.discard(slot)
-            self._rem[slot] = 0.0
-            self._rate[slot] = 0.0
-            self._hops[slot, :] = -1
             ev, self._events[slot] = self._events[slot], None
             self._free.append(slot)
             self.flows_completed += 1

@@ -31,7 +31,7 @@ from repro.sim import Simulator
 
 #: bytes per *simulated* PLFS index record.  This does not match the real
 #: record (repro.plfs.index.RECORD_SIZE: ``<qqqqd`` = 40 bytes); the value
-#: is held by the Fig-8 ``==`` goldens until ROADMAP item 6 reconciles it.
+#: is held by the Fig-8 ``==`` goldens until ROADMAP item 8(a) reconciles it.
 INDEX_RECORD_BYTES = 32
 
 #: A write pattern: pattern[rank] = [(logical_offset, nbytes), ...]

@@ -21,15 +21,17 @@ sums thousands of Timeouts where the fluid floor is one closed form,
 so the last ulp can differ.)
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from repro.giga import ServiceParams, run_storm
-from repro.net import FabricParams, Link, Topology
+from repro.net import FabricParams, LeafSpineParams, Link, Topology
+from repro.obs import RequestContext
 from repro.pfs.params import PFSParams
 from repro.pfs.system import SimPFS
-from repro.sim import Simulator
+from repro.sim import Simulator, Timeout
 
 #: the x14 fabrics: the historical 200 ms min-RTO and the tuned one
 LEGACY = FabricParams(name="legacy", buffer_pkts=64, min_rto_s=0.2, seed=7)
@@ -159,3 +161,89 @@ def test_fluid_stats_surface():
     topo2 = Topology(sim2, 8, Link(112e6), Link(112e6),
                      fabric=replace(fab, mode="exact"))
     assert topo2.fluid_stats() is None
+
+
+def _cohort_mix(ctx_every: int):
+    """Synchronized fluid cohorts on a 4-rack leaf/spine fabric.
+
+    At t=0: 600 flows into server 2 (above the 512-flow staggered-probe
+    limit, so the generational model runs) from every rack — rack-1
+    clients cross one hop, the rest cross ``leaf{r}.up -> leaf1.down ->
+    server2``, so the 3-hop paths share their last hop but not their
+    first — 40 flows into server 5 (the staggered replay, lossy), four
+    into server 7 (a clean cohort: the lockstep tail) and one lone flow
+    into server 0.  At t=0.1 a 30-flow wave joins server 2 while
+    the first wave's tail still sits out its RTO.  Every ``ctx_every``-th
+    flow carries a :class:`RequestContext`.  Returns the per-flow
+    completion instants, the ports, the contexts and the topology.
+    """
+    fab = FabricParams(
+        name="cohorts", buffer_pkts=64, min_rto_s=0.2, seed=5, mode="fluid",
+        leafspine=LeafSpineParams(n_racks=4, oversubscription=2.0),
+    )
+    sim = Simulator()
+    topo = Topology(sim, 8, Link(1.25e9), Link(1.25e9), fabric=fab)
+    pkt = fab.pkt_bytes
+    flows = [(2, c, (1 + (7 * c) % 13) * pkt - (c % 3) * 100,
+              8 if c % 5 == 0 else None) for c in range(600)]
+    flows += [(5, 1000 + k, (20 + (11 * k) % 59) * pkt, None) for k in range(40)]
+    flows += [(7, 2000 + k, (3 + k) * pkt, None) for k in range(4)]
+    flows += [(0, 2100, 300 * pkt, None)]
+    late = [(2, 3000 + k, (1 + k % 4) * pkt, None) for k in range(30)]
+    done: dict[int, float] = {}
+    ctxs: list = []
+
+    def flow(i, server, client, nbytes, cap):
+        ctx = None
+        if i % ctx_every == 0:
+            ctx = RequestContext(i)
+            ctxs.append(ctx)
+        yield from topo.to_server(server, nbytes, src_client=client,
+                                  cwnd_cap=cap, ctx=ctx)
+        done[i] = sim.now
+
+    def second_wave():
+        yield Timeout(0.1)
+        for j, f in enumerate(late):
+            sim.spawn(flow(len(flows) + j, *f))
+
+    for i, f in enumerate(flows):
+        sim.spawn(flow(i, *f))
+    sim.spawn(second_wave())
+    sim.run()
+    assert len(done) == len(flows) + len(late)
+    ports = topo.server_ports + topo.leaf_up + topo.leaf_down
+    return done, ports, ctxs, topo
+
+
+#: sha256 of the completion instants, port stats, engine stats and
+#: per-context damage of ``_cohort_mix``, by ``ctx_every``
+COHORT_PINS = {
+    1: "2f6b3d16dc021b447f952937d056de832da463ca6c56ba7df2135b6620a6cb0e",
+    3: "ee6d6de8fbcd41cd3a0c94875218046a8808f62a9d78c4af6ea3d703e2b5c99b",
+}
+
+
+@pytest.mark.parametrize("ctx_every", sorted(COHORT_PINS))
+def test_cohort_probe_pinned(ctx_every):
+    """Multi-destination cohorts: completions and port totals pinned.
+
+    Pins the burst probe's grouping by destination hop, its per-flow
+    stall release and its drop/RTO attribution to ports and request
+    contexts, bit for bit.
+    """
+    done, ports, ctxs, topo = _cohort_mix(ctx_every)
+    stats = topo.fluid_stats()
+    assert stats["probes"] == 4  # server 2 twice, servers 5 and 7 once
+    assert stats["stalled_flows"] > 0
+    blob = repr((
+        sorted(done.items()),
+        [p.stats() for p in ports],
+        stats,
+        [(c.request_id, c.drops_pkts, c.rtos) for c in ctxs],
+    ))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == COHORT_PINS[ctx_every]
+    if ctx_every == 1:
+        assert sum(c.drops_pkts for c in ctxs) == sum(p.total_drops_pkts for p in ports)
+        assert sum(c.rtos for c in ctxs) == sum(p.total_timeouts for p in ports)
