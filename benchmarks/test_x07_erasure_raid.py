@@ -27,9 +27,12 @@ def run_x7():
     enc_rows = []
     for k, m in ((8, 1), (8, 2), (8, 3), (8, 4)):
         rs = ReedSolomon(k, m)
-        t0 = time.perf_counter()
-        shares = rs.encode(data)
-        dt = time.perf_counter() - t0
+        shares = rs.encode(data)  # untimed: the first encode pays the warm-up
+        dt = float("inf")
+        for _ in range(3):  # best of three timed encodes
+            t0 = time.perf_counter()
+            rs.encode(data)
+            dt = min(dt, time.perf_counter() - t0)
         # verify recovery from the worst case: all parity used
         survivors = {i: shares[i] for i in range(m, k + m)}
         assert rs.decode(survivors, data_len=len(data)) == data

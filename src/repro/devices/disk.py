@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-from repro.sim import Resource, Simulator, Timeout, Acquire
 
 
 @dataclass(frozen=True)
@@ -72,21 +69,16 @@ FIFTEEN_K_SAS = DiskParams(
 
 
 class Disk:
-    """A single disk with positional state and an exclusive head.
+    """A single disk with positional state.
 
     Use :meth:`service_time` for the pure cost of a request given the
-    current head position, or :meth:`io` as a DES process that also
-    serializes concurrent requesters through the head resource.
+    current head position, or :meth:`access` to perform it: the same cost,
+    plus the head move and the request counters.  Queueing for the head is
+    the caller's (a storage server serializes its own requests).
     """
 
-    def __init__(
-        self,
-        params: DiskParams = SEVEN_K2_SATA,
-        sim: Optional[Simulator] = None,
-        name: str = "disk",
-    ) -> None:
+    def __init__(self, params: DiskParams = SEVEN_K2_SATA, name: str = "disk") -> None:
         self.params = params
-        self.sim = sim
         self.name = name
         self.head_pos: int = 0  # byte offset the head is parked after
         self.busy_time = 0.0
@@ -94,7 +86,6 @@ class Disk:
         self.bytes_written = 0
         self.requests = 0
         self.seeks = 0
-        self._head = Resource(sim, capacity=1, name=f"{name}.head") if sim else None
 
     # -- pure model ---------------------------------------------------
     def seek_time(self, from_byte: int, to_byte: int) -> float:
@@ -117,7 +108,7 @@ class Disk:
         """Cost of one request from the current head position (pure).
 
         Does not mutate state; callers wanting stateful accounting use
-        :meth:`access` / :meth:`io`.
+        :meth:`access`.
         """
         if nbytes < 0 or offset < 0:
             raise ValueError("offset and nbytes must be non-negative")
@@ -141,22 +132,6 @@ class Disk:
             self.bytes_written += nbytes
         else:
             self.bytes_read += nbytes
-        return t
-
-    # -- DES process ---------------------------------------------------
-    def io(self, offset: int, nbytes: int, write: bool = False):
-        """Simulation process: acquire the head, spend service time, release.
-
-        Yields inside a :class:`~repro.sim.Simulator`; the request's cost is
-        computed *after* the head is granted so queueing reorders seeks
-        realistically (FCFS head scheduling).
-        """
-        if self._head is None:
-            raise RuntimeError("Disk was constructed without a Simulator")
-        grant = yield Acquire(self._head)
-        t = self.access(offset, nbytes, write=write)
-        yield Timeout(t)
-        self._head.release(grant)
         return t
 
     # -- reporting ------------------------------------------------------

@@ -8,8 +8,6 @@ subset invertible), the construction the PDSI GPU-RAID work accelerates.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.erasure.gf256 import GF256
@@ -29,10 +27,6 @@ class ReedSolomon:
     def n(self) -> int:
         """Total share count (data + parity)."""
         return self.k + self.m
-
-    def can_decode(self, available: "set[int] | Sequence[int]") -> bool:
-        """Whether the available share indices suffice to recover the data."""
-        return len({i for i in available if 0 <= i < self.n}) >= self.k
 
     @staticmethod
     def _systematic_vandermonde(k: int, m: int) -> np.ndarray:

@@ -73,34 +73,6 @@ def observed_vs_datasheet(pop: DrivePopulation) -> dict:
     }
 
 
-def fit_weibull_shape(failure_ages: np.ndarray) -> dict:
-    """Maximum-likelihood Weibull fit to observed failure ages.
-
-    The FAST'07 statistical argument: field lifetimes are fit far better
-    by a Weibull with shape > 1 (increasing hazard) than by the
-    exponential (shape = 1) the MTTF datasheet model assumes.  Returns
-    the fitted shape/scale and the log-likelihood advantage over the
-    exponential fit.
-    """
-    ages = np.asarray(failure_ages, dtype=float)
-    ages = ages[ages > 0]
-    if len(ages) < 10:
-        raise ValueError("need at least 10 observed failures to fit")
-    from scipy import stats
-
-    shape, _loc, scale = stats.weibull_min.fit(ages, floc=0.0)
-    ll_weibull = float(np.sum(stats.weibull_min.logpdf(ages, shape, 0.0, scale)))
-    lam = ages.mean()
-    ll_exp = float(np.sum(stats.expon.logpdf(ages, 0.0, lam)))
-    return {
-        "shape": float(shape),
-        "scale_years": float(scale),
-        "loglik_weibull": ll_weibull,
-        "loglik_exponential": ll_exp,
-        "weibull_advantage": ll_weibull - ll_exp,
-    }
-
-
 def compare_populations(a: DrivePopulation, b: DrivePopulation) -> dict:
     """Enterprise-vs-desktop comparison: overall ARR ratio near 1 refutes
     the 'enterprise drives fail less' belief."""

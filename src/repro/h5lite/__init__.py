@@ -1,28 +1,18 @@
-"""H5-lite: a miniature HDF5-style array file format + the Fig 13 study.
+"""H5-lite: the Fig 13 HDF5 optimization study on the simulated PFS.
 
 NERSC's HDF5 project (§5.2.1) tuned parallel HDF5 until Chombo and GCRM
-wrote at up to 33x their baseline, near the file system's peak.  Two
-halves here:
-
-- :mod:`repro.h5lite.format` — a real, working hierarchical array format
-  (superblock, named datasets, attributes, table of contents) that writes
-  through any file-like object — including a PLFS container via
-  :class:`repro.h5lite.format.PlfsFileAdapter`;
-- :mod:`repro.h5lite.perf` — the parallel write path on the simulated
-  PFS with the optimization stack (collective buffering, stripe
-  alignment, metadata aggregation) applied cumulatively, reproducing the
-  figure's stacked-bar shape for Chombo-like and GCRM-like workloads.
+wrote at up to 33x their baseline, near the file system's peak.
+:mod:`repro.h5lite.perf` is the parallel write path on the simulated PFS
+with the optimization stack (collective buffering, stripe alignment,
+metadata aggregation) applied cumulatively, reproducing the figure's
+stacked-bar shape for Chombo-like and GCRM-like workloads.
 """
 
-from repro.h5lite.format import H5LiteReader, H5LiteWriter, PlfsFileAdapter
 from repro.h5lite.perf import H5PerfConfig, OPT_STACK, cumulative_optimizations, run_h5_write
 
 __all__ = [
-    "H5LiteReader",
-    "H5LiteWriter",
     "H5PerfConfig",
     "OPT_STACK",
-    "PlfsFileAdapter",
     "cumulative_optimizations",
     "run_h5_write",
 ]

@@ -5,8 +5,7 @@ partitioning, MSST'10) indexes file metadata by *subtree partitions*,
 each carrying small summaries (attribute ranges and signatures).  Because
 file metadata has strong namespace locality, most queries prune most
 partitions without touching them — the report claims "10-1000 times
-faster than existing database systems at metadata search", with cheap
-partition-local rebuilds after corruption.
+faster than existing database systems at metadata search".
 
 - :mod:`repro.metasearch.namespace` — synthetic namespaces with realistic
   attribute locality (extensions, owners, sizes, ages cluster by subtree),

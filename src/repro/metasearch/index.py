@@ -167,15 +167,3 @@ class PartitionedIndex:
             partitions_visited=visited,
             wall_s=sp.duration,
         )
-
-    # -- maintenance ------------------------------------------------------
-    def rebuild_partition(self, index: int, region_records: list[FileMeta]) -> int:
-        """Rebuild one corrupted partition from its region's records only
-        (the reliability advantage over a monolithic index: no full-
-        namespace rescan).  Returns records re-indexed."""
-        old = self.partitions[index]
-        fresh = _Partition(key=old.key)
-        for f in region_records:
-            fresh.add(f)
-        self.partitions[index] = fresh
-        return len(region_records)

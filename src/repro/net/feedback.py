@@ -151,11 +151,6 @@ class FabricFeedback:
         self._last_sig = sigs
         self._last_t = now
 
-    def hop_costs(self) -> dict[str, float]:
-        """Current per-hop (rack downlink) EWMA costs, by port name."""
-        n = self.n_servers
-        return {p.name: e for p, e in zip(self._ports[n:], self._ewma[n:])}
-
     def costs(self) -> list[float]:
         """Current per-server congestion costs (refreshing first).
 

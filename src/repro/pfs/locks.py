@@ -64,6 +64,3 @@ class BlockLockManager:
         self.total_migrations += migrations
         self.total_rmw += rmw
         return LockCharge(migrations, rmw)
-
-    def reset(self) -> None:
-        self.owner.clear()

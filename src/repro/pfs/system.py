@@ -96,7 +96,7 @@ class _StorageServer(FaultableServer):
         )
         self.params = params
         self.topology = topology
-        self.disk = Disk(params.disk, sim=None, name=f"osd{index}.disk")
+        self.disk = Disk(params.disk, name=f"osd{index}.disk")
         self.queue: Store = Store(sim, name=f"osd{index}.q")
         # server-local space allocation: (file_id, chunk) -> disk offset
         self._alloc: dict[tuple[int, int], int] = {}

@@ -68,13 +68,6 @@ class RadosCluster:
         except KeyError:
             raise RadosError(f"object {name!r} missing on primary {primary}") from None
 
-    def delete(self, name: str) -> None:
-        if name not in self._objects:
-            raise KeyError(name)
-        for o in range(self.osdmap.n_osds):
-            self._store[o].pop(name, None)
-        del self._objects[name]
-
     # -- membership changes -----------------------------------------------------
     def fail_osd(self, osd: int) -> int:
         """Mark an OSD down; its data is gone.  Returns bytes recovered."""

@@ -195,12 +195,6 @@ class Simulator:
 
     Parameters
     ----------
-    trace:
-        Optional callable ``(time, label)`` invoked for every dispatched
-        event; useful when debugging model behaviour.  The label is the
-        callback's qualname: a process resuming from a timeout, its first
-        step or a resource grant shows as ``Process._step``, one resuming
-        from an event or another process as ``Process._resume_from_event``.
     obs:
         Optional :class:`repro.obs.Observability` bundle; defaults to the
         globally active one (``repro.obs.current()``).  When set, the
@@ -238,16 +232,10 @@ class Simulator:
     (same-time events fire in scheduling order) changes.
     """
 
-    def __init__(
-        self,
-        trace: Optional[Callable[[float, str], None]] = None,
-        obs=None,
-        profile: Union[bool, int] = False,
-    ) -> None:
+    def __init__(self, obs=None, profile: Union[bool, int] = False) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
-        self._trace = trace
         self._crashed: Optional[BaseException] = None
         # always-on kernel totals (see event_stats); plain int/float bumps
         self.events_dispatched = 0
@@ -374,9 +362,9 @@ class Simulator:
         process with no waiter aborts the run and is re-raised here.
 
         The loop is picked once per call: the lean one pops, sets
-        ``now``, calls and checks for a crash; the instrumented one, used
-        only when ``trace=`` or ``profile=`` is set, also reports or times
-        each event.  The heap's peak depth is sampled before every pop.
+        ``now``, calls and checks for a crash; the profiled one, used
+        only when ``profile=`` is set, also times every sampled event.
+        The heap's peak depth is sampled before every pop.
         """
         heap = self._heap
         stop = float("inf") if until is None else until
@@ -385,7 +373,7 @@ class Simulator:
         wall0 = _time.perf_counter()
         self.run_slices += 1
         try:
-            if self._trace is None and not self._profile_every:
+            if not self._profile_every:
                 while heap:
                     if len(heap) > peak:
                         peak = len(heap)
@@ -399,7 +387,7 @@ class Simulator:
                         exc, self._crashed = self._crashed, None
                         raise exc
             else:
-                trace, every = self._trace, self._profile_every
+                every = self._profile_every
                 while heap:
                     if len(heap) > peak:
                         peak = len(heap)
@@ -408,9 +396,7 @@ class Simulator:
                     time, _seq, fn, args = heappop(heap)
                     self.now = time
                     n_disp += 1
-                    if trace is not None:
-                        trace(time, getattr(fn, "__qualname__", repr(fn)))
-                    if every and n_disp % every == 0:
+                    if n_disp % every == 0:
                         t0 = _time.perf_counter()
                         fn(*args)
                         self._profile_note(fn, _time.perf_counter() - t0)
@@ -438,10 +424,6 @@ class Simulator:
                 if self.max_heap_depth > g.value:
                     g.set(float(self.max_heap_depth))
         return self.now
-
-    def peek(self) -> float:
-        """Time of the next pending event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
 
     # -- kernel introspection (flight-recorder pillar 2) --------------
     @property

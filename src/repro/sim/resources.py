@@ -9,7 +9,7 @@ queues between simulated components.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.core import Event, Process, SimulationError, Simulator
 
@@ -123,6 +123,3 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def peek(self) -> Optional[Any]:
-        return self._items[0] if self._items else None

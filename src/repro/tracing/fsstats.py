@@ -97,26 +97,6 @@ def survey_summary(sizes: np.ndarray) -> dict:
     }
 
 
-def directory_stats(root: os.PathLike | str) -> dict:
-    """fsstats' namespace-shape numbers: directory counts, files per
-    directory, and tree depth distribution."""
-    files_per_dir: list[int] = []
-    depths: list[int] = []
-    root = Path(root)
-    base_depth = len(root.parts)
-    for dirpath, _dirnames, filenames in os.walk(root):
-        files_per_dir.append(len(filenames))
-        depths.append(len(Path(dirpath).parts) - base_depth)
-    fpd = np.asarray(files_per_dir)
-    return {
-        "directories": int(len(fpd)),
-        "mean_files_per_dir": float(fpd.mean()) if len(fpd) else 0.0,
-        "max_files_per_dir": int(fpd.max()) if len(fpd) else 0,
-        "empty_dirs": int((fpd == 0).sum()),
-        "max_depth": int(max(depths)) if depths else 0,
-    }
-
-
 def scan_directory(root: os.PathLike | str) -> np.ndarray:
     """fsstats-style scan of a real directory tree (sizes in bytes)."""
     sizes = []

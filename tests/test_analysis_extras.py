@@ -1,4 +1,4 @@
-"""Tests for the Weibull MLE fit, PPM export, sim-bridge compression,
+"""Tests for PPM export, sim-bridge compression,
 and assorted smaller units (h5lite perf, iozone full sweep, dfs edges)."""
 
 import numpy as np
@@ -6,8 +6,6 @@ import pytest
 
 from repro.devices import device_model
 from repro.dfs import ClusterSpec, GrepJob, HDFSBackend, run_grep
-from repro.failure.analysis import fit_weibull_shape
-from repro.failure.traces import synth_drive_population
 from repro.h5lite import H5PerfConfig, run_h5_write
 from repro.pfs import GPFS_LIKE, LUSTRE_LIKE
 from repro.plfs.simbridge import run_plfs, run_readback
@@ -16,30 +14,6 @@ from repro.tracing.records import TraceEvent
 from repro.tracing.ninjat import save_ppm
 from repro.workloads import n1_strided
 from repro.workloads.iozone import full_sweep
-
-
-# ------------------------------------------------------------- weibull fit
-def test_weibull_fit_recovers_increasing_hazard():
-    rng = np.random.default_rng(4)
-    pop = synth_drive_population(
-        "p", n_drives=3000, observe_years=8, rng=rng,
-        weibull_shape=1.4, weibull_scale_years=10.0,
-    )
-    fit = fit_weibull_shape(pop.failure_ages)
-    assert fit["shape"] > 1.1  # increasing hazard, as the report argues
-    assert fit["weibull_advantage"] > 0  # better fit than exponential
-
-
-def test_weibull_fit_needs_data():
-    with pytest.raises(ValueError):
-        fit_weibull_shape(np.array([1.0, 2.0]))
-
-
-def test_weibull_fit_on_exponential_data_near_one():
-    rng = np.random.default_rng(5)
-    ages = rng.exponential(5.0, size=4000)
-    fit = fit_weibull_shape(ages)
-    assert 0.9 < fit["shape"] < 1.1
 
 
 # ------------------------------------------------------------- ppm export

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.devices import Disk, SEVEN_K2_SATA, FIFTEEN_K_SAS
-from repro.sim import Simulator
 
 
 def test_sequential_access_pays_only_transfer():
@@ -90,30 +89,6 @@ def test_stats_accounting():
     assert s["bytes_written"] == 8192
     assert s["bytes_read"] == 8192
     assert s["busy_time_s"] > 0
-
-
-def test_des_io_serializes_head():
-    sim = Simulator()
-    d = Disk(sim=sim)
-    done = []
-
-    def job(i, off):
-        t = yield from d.io(off, 4096)
-        done.append((i, sim.now, t))
-
-    sim.spawn(job(0, 0))
-    sim.spawn(job(1, 10**9))
-    sim.run()
-    assert [i for i, _, _ in done] == [0, 1]
-    # completion time of job 1 includes waiting for job 0
-    assert done[1][1] == pytest.approx(done[0][1] + done[1][2])
-
-
-def test_des_io_without_sim_raises():
-    d = Disk()
-    gen = d.io(0, 4096)
-    with pytest.raises(RuntimeError):
-        next(gen)
 
 
 @given(

@@ -1,11 +1,7 @@
 """Final edge-case sweep across subsystems."""
 
-import io
-
-import numpy as np
 import pytest
 
-from repro.h5lite import H5LiteReader, H5LiteWriter
 from repro.mpi import run_spmd
 from repro.net import ONE_GE, simulate_incast
 from repro.pfs import PFSParams, SimPFS
@@ -70,37 +66,6 @@ def test_vfs_empty_path_rejected(tmp_path):
         fs.stat("//")
 
 
-# ------------------------------------------------------------- h5lite extras
-def test_h5lite_empty_and_scalar_arrays():
-    buf = io.BytesIO()
-    with H5LiteWriter(buf) as w:
-        w.create_dataset("empty", np.array([], dtype=np.float32))
-        w.create_dataset("scalar", np.array(7.5))
-        w.create_dataset("bools", np.array([True, False, True]))
-    buf.seek(0)
-    with H5LiteReader(buf) as r:
-        assert r.read("empty").size == 0
-        assert r.read("scalar") == pytest.approx(7.5)
-        assert r.read("bools").tolist() == [True, False, True]
-
-
-def test_h5lite_nested_attrs_roundtrip():
-    buf = io.BytesIO()
-    attrs = {"run": {"id": 12, "params": [1, 2, 3]}, "label": "c2h4"}
-    with H5LiteWriter(buf) as w:
-        w.create_dataset("x", np.zeros(2), attrs=attrs)
-    buf.seek(0)
-    with H5LiteReader(buf) as r:
-        assert r.attrs("x") == attrs
-
-
-def test_h5lite_align_validation():
-    buf = io.BytesIO()
-    with H5LiteWriter(buf) as w:
-        with pytest.raises(ValueError):
-            w.create_dataset("x", np.zeros(2), align=0)
-
-
 # ------------------------------------------------------------- pnfs extras
 def test_nfs_pipeline_overlaps_nic_and_backend():
     """Chunked NFS writes pipeline NIC and backend stages: total time is
@@ -151,22 +116,3 @@ def test_simpfs_zero_byte_write_and_read():
     sim.run()
     assert out["w"] == 0.0 and out["r"] == 0.0
     assert pfs.lookup("/f").size == 0
-
-
-def test_sim_trace_hook_fires():
-    events = []
-    sim = Simulator(trace=lambda t, label: events.append((t, label)))
-
-    def job():
-        yield from ()
-        return None
-
-    from repro.sim import Timeout
-
-    def worker():
-        yield Timeout(1.0)
-
-    sim.spawn(worker())
-    sim.run()
-    assert events  # dispatcher reported at least the process steps
-    assert all(isinstance(t, float) for t, _ in events)

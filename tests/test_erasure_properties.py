@@ -36,7 +36,6 @@ def test_any_k_of_n_shares_decode_bit_exactly(k, m, payload, seed):
     n_erase = int(rng.integers(0, m + 1))
     erased = set(rng.choice(rs.n, size=n_erase, replace=False).tolist())
     available = {i: shares[i] for i in range(rs.n) if i not in erased}
-    assert rs.can_decode(available)
     assert rs.decode(available, len(payload)) == payload
 
 
@@ -65,7 +64,6 @@ def test_more_than_m_erasures_are_refused(k, m, payload):
     rs = ReedSolomon(k, m)
     shares = rs.encode(payload)
     available = {i: shares[i] for i in range(rs.k - 1)}
-    assert not rs.can_decode(available)
     try:
         rs.decode(available, len(payload))
     except ValueError:

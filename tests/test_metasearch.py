@@ -115,18 +115,6 @@ def test_partition_size_bound(namespace):
     assert sum(len(p.records) for p in part.partitions) == len(namespace)
 
 
-def test_rebuild_partition(namespace):
-    part = PartitionedIndex(namespace)
-    region = list(part.partitions[0].records)
-    n = part.rebuild_partition(0, region)
-    assert n == len(region)
-    # search results unchanged after the rebuild
-    q = parse_query("ext=.h5")
-    flat_hits, _ = FlatScanIndex(namespace).search(q)
-    part_hits, _ = part.search(q)
-    assert len(flat_hits) == len(part_hits)
-
-
 def test_invalid_index_params(namespace):
     with pytest.raises(ValueError):
         PartitionedIndex(namespace, max_partition_records=0)

@@ -153,13 +153,6 @@ def test_lock_cost_formula():
     assert c.cost_s(1e-3, 5e-3) == pytest.approx(3e-3 + 1e-2)
 
 
-def test_reset_clears_ownership():
-    lm = BlockLockManager(64)
-    lm.charge_write(1, 0, 64)
-    lm.reset()
-    assert lm.charge_write(2, 0, 64).migrations == 0
-
-
 @given(
     writes=st.lists(
         st.tuples(st.integers(0, 3), st.integers(0, 1000), st.integers(1, 200)),

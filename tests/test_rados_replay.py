@@ -26,15 +26,6 @@ def test_read_from_primary_and_missing():
         c.read("nope")
 
 
-def test_delete_removes_everywhere():
-    c = RadosCluster(n_osds=4, replicas=2)
-    c.write("x", b"1")
-    c.delete("x")
-    assert c.total_stored_bytes() == 0
-    with pytest.raises(KeyError):
-        c.delete("x")
-
-
 def test_failure_recovers_replication():
     c = RadosCluster(n_osds=6, replicas=3)
     rng = np.random.default_rng(0)

@@ -1,13 +1,8 @@
 """Failure-injection and robustness tests: corrupt containers, truncated
-indices, damaged H5-lite files, and cross-subsystem integration checks."""
+indices, and cross-subsystem integration checks."""
 
-import io
-
-import numpy as np
 import pytest
 
-from repro.h5lite import H5LiteReader, H5LiteWriter
-from repro.h5lite.format import H5LiteError
 from repro.plfs import Plfs
 from repro.plfs.container import Container, ContainerError
 from repro.plfs.filehandle import PlfsReadHandle
@@ -98,48 +93,6 @@ def test_corrupt_compressed_blob_detected(fs):
     with pytest.raises(Exception):  # zlib error or length mismatch
         rh.read(0, 10_000)
     rh.close()
-
-
-# ------------------------------------------------------------- H5-lite damage
-def _make_h5(buf):
-    with H5LiteWriter(buf) as w:
-        w.create_dataset("x", np.arange(16.0))
-
-
-def test_h5lite_truncated_toc():
-    buf = io.BytesIO()
-    _make_h5(buf)
-    raw = buf.getvalue()
-    broken = io.BytesIO(raw[:-4])
-    with pytest.raises(H5LiteError, match="corrupt|truncated|table"):
-        H5LiteReader(broken)
-
-
-def test_h5lite_file_too_short():
-    with pytest.raises(H5LiteError, match="too short"):
-        H5LiteReader(io.BytesIO(b"H5"))
-
-
-def test_h5lite_truncated_dataset_body():
-    buf = io.BytesIO()
-    _make_h5(buf)
-    raw = bytearray(buf.getvalue())
-    # zero the TOC offset so it points at valid JSON? instead, cut dataset
-    # bytes: rewrite a TOC claiming more bytes than exist
-    r = H5LiteReader(io.BytesIO(bytes(raw)))
-    entry = r._toc["x"]
-    entry["nbytes"] = 10**6
-    with pytest.raises(H5LiteError, match="truncated"):
-        r.read("x")
-
-
-def test_h5lite_bad_version():
-    buf = io.BytesIO()
-    _make_h5(buf)
-    raw = bytearray(buf.getvalue())
-    raw[8] = 99  # version field
-    with pytest.raises(H5LiteError, match="version"):
-        H5LiteReader(io.BytesIO(bytes(raw)))
 
 
 # ------------------------------------------------------------- integration

@@ -1,24 +1,12 @@
 """Tests for the tape archive model (T2), FSVA (Fig 6), and H5-lite."""
 
-import io
-
 import numpy as np
 import pytest
 
 from repro.fsva import relative_overhead, run_workload
 from repro.fsva.model import STREAM_LIKE, UNTAR_LIKE
-from repro.h5lite import (
-    H5LiteReader,
-    H5LiteWriter,
-    H5PerfConfig,
-    OPT_STACK,
-    PlfsFileAdapter,
-    cumulative_optimizations,
-    run_h5_write,
-)
-from repro.h5lite.format import H5LiteError
+from repro.h5lite import H5PerfConfig, OPT_STACK, cumulative_optimizations, run_h5_write
 from repro.pfs import GPFS_LIKE
-from repro.plfs import Plfs
 from repro.tape import NERSC_GENERATIONS, run_verification_campaign
 
 
@@ -77,90 +65,6 @@ def test_naive_overhead_substantial_on_metadata():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         run_workload(UNTAR_LIKE, "bare-metal")
-
-
-# ------------------------------------------------------------- h5lite format
-def test_h5lite_roundtrip_bytesio():
-    buf = io.BytesIO()
-    a = np.arange(24, dtype=np.float64).reshape(4, 6)
-    b = np.array([1, 2, 3], dtype=np.int32)
-    with H5LiteWriter(buf) as w:
-        w.create_dataset("temps", a, attrs={"units": "K"})
-        w.create_dataset("ids", b)
-    buf.seek(0)
-    with H5LiteReader(buf) as r:
-        assert r.datasets() == ["ids", "temps"]
-        assert np.array_equal(r.read("temps"), a)
-        assert np.array_equal(r.read("ids"), b)
-        assert r.attrs("temps") == {"units": "K"}
-        assert r.shape("temps") == (4, 6)
-
-
-def test_h5lite_roundtrip_real_file(tmp_path):
-    p = str(tmp_path / "out.h5l")
-    with H5LiteWriter(p) as w:
-        w.create_dataset("x", np.ones(10))
-    with H5LiteReader(p) as r:
-        assert np.array_equal(r.read("x"), np.ones(10))
-
-
-def test_h5lite_alignment_pads(tmp_path):
-    buf = io.BytesIO()
-    with H5LiteWriter(buf) as w:
-        w.create_dataset("a", np.zeros(3, dtype=np.uint8), align=256)
-        w.create_dataset("b", np.zeros(3, dtype=np.uint8), align=256)
-    buf.seek(0)
-    with H5LiteReader(buf) as r:
-        assert r._entry("a")["offset"] % 256 == 0
-        assert r._entry("b")["offset"] % 256 == 0
-
-
-def test_h5lite_duplicate_and_missing():
-    buf = io.BytesIO()
-    w = H5LiteWriter(buf)
-    w.create_dataset("x", np.zeros(2))
-    with pytest.raises(H5LiteError):
-        w.create_dataset("x", np.zeros(2))
-    w.close()
-    buf.seek(0)
-    r = H5LiteReader(buf)
-    with pytest.raises(H5LiteError):
-        r.read("missing")
-
-
-def test_h5lite_bad_magic():
-    buf = io.BytesIO(b"NOTHDF" + b"\0" * 100)
-    with pytest.raises(H5LiteError):
-        H5LiteReader(buf)
-
-
-def test_h5lite_closed_writer_guard():
-    buf = io.BytesIO()
-    w = H5LiteWriter(buf)
-    w.close()
-    with pytest.raises(H5LiteError):
-        w.create_dataset("x", np.zeros(1))
-    w.close()  # idempotent
-
-
-def test_h5lite_over_plfs(tmp_path):
-    """The full stack: H5-lite hosted inside a PLFS container."""
-    fs = Plfs(tmp_path / "mnt")
-    fs.create("/sim.h5l")
-    wh = fs.open_write("/sim.h5l", create=False)
-    a = np.linspace(0, 1, 50)
-    with H5LiteWriter(PlfsFileAdapter(write_handle=wh)) as w:
-        w.create_dataset("phi", a, attrs={"step": 12})
-    wh.close()
-    rh = fs.open_read("/sim.h5l")
-    with H5LiteReader(PlfsFileAdapter(read_handle=rh)) as r:
-        assert np.allclose(r.read("phi"), a)
-        assert r.attrs("phi") == {"step": 12}
-
-
-def test_adapter_needs_exactly_one_handle():
-    with pytest.raises(ValueError):
-        PlfsFileAdapter()
 
 
 # ------------------------------------------------------------- h5lite perf

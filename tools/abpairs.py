@@ -20,7 +20,9 @@ correct output; no timing is gated.
 per-layer metrics side by side: an exact count (unit ``count``, ``B`` or
 ``B/MiB``, the rule of ``perf/run.py --compare``) reads ``identical`` or
 ``DIFFERS``, any other metric shows change/parent.  A differing count also
-fails the exit status.  Layers neither side ran are left out.
+fails the exit status.  Layers neither side ran are left out, but
+``sim_drift`` and ``failed_ops_share`` always print: they must read 0, so
+they are compared exactly like a count and their 0 is shown, not implied.
 """
 
 import argparse
@@ -33,6 +35,8 @@ from pathlib import Path
 BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 MIN_PAIRS = 10      # fewer pairs than this support no claim either way
 EXACT_UNITS = ("count", "B", "B/MiB")   # same seed, same value (perf/run.py)
+#: The bound-0 rows of perf/run.py's EXTRA_END_TO_END: 0 on every workload.
+ZERO_ROWS = ("sim_drift", "failed_ops_share")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -134,9 +138,10 @@ def run_layers(workload: str, sides: dict, seconds: float, seed: int) -> bool:
     differs = 0
     for m in BENCHMARK["per_layer"]:
         p, c = (got[side].get(m["name"], 0) for side in ("parent", "change"))
-        if p == 0 and c == 0:
+        zero_row = m["name"] in ZERO_ROWS
+        if p == 0 and c == 0 and not zero_row:
             continue
-        if m["unit"] in EXACT_UNITS:
+        if m["unit"] in EXACT_UNITS or zero_row:
             note = "identical" if p == c else "DIFFERS"
             differs += p != c
         else:

@@ -22,9 +22,14 @@ the function it tests is no reason to keep that function.
 
 Prints the top-level functions and methods never entered, by package,
 with their line spans; a nested function is counted inside its parent.
+Then checks them against DESIGN.md's "Function reach (audit)" section:
+every reported function must be named there in backticks, by its
+qualname (``Class.method``) or with a module path in front of it
+(``verify.checker.explore``), so each has a written keep reason.
 Exits 1 if any consumer failed, so a broken benchmark cannot pass for
-dead code.  Needs pytest for the benchmarks, as they do; nothing else
-outside the standard library.  Takes about 6 min and a 2.5 GiB peak on
+dead code, or if a reported function is not named in that section.
+Needs pytest for the benchmarks, as they do; nothing else outside the
+standard library.  Takes about 6 min and a 2.5 GiB peak on
 a 2-core VM, most of it the slow benchmarks.
 
 Usage: ``python tools/reach.py``.
@@ -38,6 +43,7 @@ import importlib.util
 import io
 import os
 import pkgutil
+import re
 import runpy
 import sys
 import tempfile
@@ -50,6 +56,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
+AUDIT_HEADING = "### Function reach (audit)"
 
 
 class Function:
@@ -70,6 +77,15 @@ class Function:
     @property
     def lines(self) -> int:
         return self.last - self.first + 1
+
+    def named_by(self, token: str) -> bool:
+        """Whether ``token`` is this function's qualname, bare or behind a
+        module path (``sim.stats.Counter.__repr__``)."""
+        if token == self.qualname:
+            return True
+        prefix, dot, rest = token.rpartition("." + self.qualname)
+        modules = set(self.path.relative_to(SRC).with_suffix("").parts)
+        return bool(dot) and not rest and set(prefix.split(".")) <= modules
 
 
 def functions() -> list[Function]:
@@ -178,6 +194,14 @@ CONSUMERS = [
 
 
 # -- the hook and the report ------------------------------------------------
+def audit_names() -> list[str]:
+    """Every backticked name in DESIGN.md's function-reach section."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text[text.index(AUDIT_HEADING):]
+    end = section.find("\n## ")
+    return re.findall(r"`([^`]+)`", section if end < 0 else section[:end])
+
+
 def entered_code() -> tuple[set, list[str]]:
     """Run every consumer under the hook; return the entered code and failures."""
     entered = set()
@@ -229,10 +253,14 @@ def main() -> int:
     print(f"\n{len(missed)} of {len(defs)} functions never entered; "
           f"{len(report)} top-level functions and methods, "
           f"{sum(f.lines for f in report)} lines")
+    names = audit_names()
+    unexplained = [f for f in report if not any(f.named_by(n) for n in names)]
+    for f in unexplained:
+        print(f"reach: not in DESIGN.md's reach table: {f.qualname} "
+              f"({f.path.relative_to(PACKAGE)}:{f.first})", file=sys.stderr)
     if failures:
         print(f"reach: consumers failed: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failures or unexplained else 0
 
 
 if __name__ == "__main__":
