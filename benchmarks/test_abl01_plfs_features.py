@@ -65,13 +65,19 @@ def run_ablation(tmpdir):
     # -- small-file packing ---------------------------------------------------
     packed = Container.create(tmpdir / "packed")
     clock = WriteClock()
+    payloads = {f"f.{w}.{i}": f"payload {w}.{i}".encode() for w in range(4) for i in range(250)}
     for w in range(4):
         with SmallFileWriter(packed, f"w{w}", clock) as writer:
             for i in range(250):
-                writer.create(f"f.{w}.{i}", b"tiny payload")
-    n_logical = len(SmallFileReader(packed).names())
+                name = f"f.{w}.{i}"
+                writer.create(name, payloads[name])
+    reader = SmallFileReader(packed)
+    n_logical = len(reader.names())
+    packed_ok = all(reader.read(name) == data for name, data in payloads.items())
     n_backing = backing_file_count(packed)
-    rows.append(["small-file packing", f"{n_logical} logical files in {n_backing} backing files"])
+    rows.append(["small-file packing",
+                 f"{n_logical} logical files in {n_backing} backing files, "
+                 f"roundtrip={'ok' if packed_ok else 'FAIL'}"])
 
     return rows, {
         "raw_records": raw_records,
@@ -81,6 +87,7 @@ def run_ablation(tmpdir):
         "batched": batched_flushes,
         "unbatched": unbatched_flushes,
         "logical": n_logical,
+        "packed_roundtrip_ok": packed_ok,
         "backing": n_backing,
         "n_ranks": n_ranks,
     }
@@ -88,7 +95,7 @@ def run_ablation(tmpdir):
 
 def test_abl01_plfs_features(run_once, tmp_path):
     rows, m = run_once(run_ablation, tmp_path)
-    print_table("PLFS follow-on feature ablation", ["feature", "effect"], rows, widths=[28, 44])
+    print_table("PLFS follow-on feature ablation", ["feature", "effect"], rows, widths=[28, 54])
     # pattern compression: a strided checkpoint reduces to ~1 descriptor/rank
     assert m["descriptors"] <= 2 * m["n_ranks"]
     assert m["raw_records"] / m["descriptors"] > 20
@@ -96,6 +103,7 @@ def test_abl01_plfs_features(run_once, tmp_path):
     assert m["zratio"] > 2.0 and m["roundtrip_ok"]
     # batching: order-of-magnitude fewer backing writes
     assert m["batched"] < m["unbatched"] / 10
-    # packing: thousand logical files, O(writers) backing files
-    assert m["logical"] == 1000
+    # packing: thousand logical files, each read back intact, O(writers)
+    # backing files
+    assert m["logical"] == 1000 and m["packed_roundtrip_ok"]
     assert m["backing"] < 20

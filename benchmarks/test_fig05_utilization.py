@@ -10,10 +10,13 @@ import numpy as np
 
 from benchmarks.conftest import print_table
 from repro.failure import (
+    CheckpointModel,
     MachineTrend,
     project_utilization,
     utilization_crossing_year,
 )
+
+POLICIES = ("balanced", "disk-only", "aggressive")
 
 
 def run_fig5():
@@ -21,23 +24,25 @@ def run_fig5():
     years = np.arange(2008, 2019)
     series = {
         scal: project_utilization(trend, years, base_delta_s=900.0, storage_scaling=scal)
-        for scal in ("balanced", "disk-only", "aggressive")
+        for scal in POLICIES
     }
+    series["process pairs"] = np.array([
+        CheckpointModel(mtti_s=trend.mtti_s(float(y)), delta_s=900.0).process_pairs_utilization()
+        for y in years
+    ])
     crossing = utilization_crossing_year(trend, 0.5, base_delta_s=900.0)
     return years, series, crossing
 
 
 def test_fig05_utilization(run_once):
     years, series, crossing = run_once(run_fig5)
-    rows = [
-        [int(y)] + [f"{series[s][i]:.1%}" for s in ("balanced", "disk-only", "aggressive")]
-        for i, y in enumerate(years)
-    ]
+    columns = (*POLICIES, "process pairs")
+    rows = [[int(y)] + [f"{series[s][i]:.1%}" for s in columns] for i, y in enumerate(years)]
     print_table(
         "Fig 5: best-achievable utilization by storage growth policy",
-        ["year", "balanced", "disk-only", "aggressive"],
+        ["year", *columns],
         rows,
-        widths=[8, 12, 12, 12],
+        widths=[8, 12, 12, 12, 14],
     )
     print(f"\n  balanced-storage 50% crossing: {crossing}")
     bal = series["balanced"]
@@ -49,5 +54,10 @@ def test_fig05_utilization(run_once):
     # disk-only storage growth is strictly worse, aggressive strictly better
     assert np.all(series["disk-only"] <= bal + 1e-12)
     assert np.all(series["aggressive"] >= bal - 1e-12)
-    # process pairs stay viable where checkpointing collapses
+    # process pairs stay viable where checkpointing collapses: capped
+    # under 50%, they beat balanced storage from the crossing year on
     assert bal[-1] < 0.45
+    pairs = series["process pairs"]
+    assert np.all(pairs < 0.5)
+    late = years >= crossing
+    assert late.any() and np.all(pairs[late] > bal[late])

@@ -4,46 +4,31 @@ Rank functions are generators: every communication point is a ``yield`` of
 an operation descriptor produced by the rank's :class:`Comm`.  The runtime
 advances ranks round-robin; a collective completes when every rank has
 yielded its matching descriptor, after which all ranks are resumed (in rank
-order) with their results.  Point-to-point ``send`` is buffered and
-completes immediately; ``recv`` blocks until a matching message exists.
+order) with their results.
 
-Deadlocks (every unfinished rank blocked with nothing deliverable) are
-detected and raised as :class:`MPIError` rather than hanging.
+A collective that the ranks do not all reach in step (different kinds,
+or a rank that has already returned) is raised as :class:`MPIError`
+rather than hanging.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, Optional
 
 
 class MPIError(RuntimeError):
-    """Collective mismatch, deadlock, or protocol misuse."""
+    """Collective mismatch or protocol misuse."""
 
 
 # ---------------------------------------------------------------- ops
 @dataclass
 class _Collective:
-    kind: str                      # 'barrier', 'bcast', 'gather', ...
+    kind: str                      # 'barrier', 'allgather', 'allreduce'
     value: Any = None
-    root: int = 0
     op: Optional[Callable[[Any, Any], Any]] = None
-
-
-@dataclass
-class _Send:
-    dest: int
-    tag: int
-    value: Any
-
-
-@dataclass
-class _Recv:
-    source: int                    # -1 = any source
-    tag: int                       # -1 = any tag
 
 
 class Comm:
@@ -57,46 +42,21 @@ class Comm:
     def barrier(self) -> _Collective:
         return _Collective("barrier")
 
-    def bcast(self, value: Any = None, root: int = 0) -> _Collective:
-        return _Collective("bcast", value=value, root=root)
-
-    def gather(self, value: Any, root: int = 0) -> _Collective:
-        return _Collective("gather", value=value, root=root)
-
     def allgather(self, value: Any) -> _Collective:
         return _Collective("allgather", value=value)
 
-    def scatter(self, values: Optional[Sequence[Any]] = None, root: int = 0) -> _Collective:
-        return _Collective("scatter", value=values, root=root)
-
-    def reduce(self, value: Any, op: Callable = operator.add, root: int = 0) -> _Collective:
-        return _Collective("reduce", value=value, root=root, op=op)
-
     def allreduce(self, value: Any, op: Callable = operator.add) -> _Collective:
         return _Collective("allreduce", value=value, op=op)
-
-    def alltoall(self, values: Sequence[Any]) -> _Collective:
-        return _Collective("alltoall", value=values)
-
-    # -- point to point ----------------------------------------------
-    def send(self, value: Any, dest: int, tag: int = 0) -> _Send:
-        return _Send(dest=dest, tag=tag, value=value)
-
-    def recv(self, source: int = -1, tag: int = -1) -> _Recv:
-        return _Recv(source=source, tag=tag)
 
 
 @dataclass
 class _RankState:
     gen: Generator
     comm: Comm
-    blocked_on: Any = None          # _Collective | _Recv | None
+    blocked_on: Optional[_Collective] = None
     send_value: Any = None          # value to resume with
-    resume_ready: bool = False
     finished: bool = False
     result: Any = None
-    started: bool = False
-    collective_count: int = 0
 
 
 def _compute_collective(kind: str, states: list[_RankState]) -> list[Any]:
@@ -105,35 +65,11 @@ def _compute_collective(kind: str, states: list[_RankState]) -> list[Any]:
     n = len(states)
     if kind == "barrier":
         return [None] * n
-    if kind == "bcast":
-        root = descs[0].root
-        return [descs[root].value] * n
-    if kind == "gather":
-        root = descs[0].root
-        everyone = [d.value for d in descs]
-        return [everyone if r == root else None for r in range(n)]
     if kind == "allgather":
         everyone = [d.value for d in descs]
         return [list(everyone)] * n
-    if kind == "scatter":
-        root = descs[0].root
-        values = descs[root].value
-        if values is None or len(values) != n:
-            raise MPIError(f"scatter root must supply exactly {n} values")
-        return list(values)
-    if kind in ("reduce", "allreduce"):
-        op = descs[0].op
-        acc = functools.reduce(op, (d.value for d in descs))
-        if kind == "allreduce":
-            return [acc] * n
-        root = descs[0].root
-        return [acc if r == root else None for r in range(n)]
-    if kind == "alltoall":
-        for d in descs:
-            if len(d.value) != n:
-                raise MPIError(f"alltoall needs {n} values per rank")
-        return [[descs[src].value[dst] for src in range(n)] for dst in range(n)]
-    raise MPIError(f"unknown collective {kind!r}")
+    acc = functools.reduce(descs[0].op, (d.value for d in descs))  # allreduce
+    return [acc] * n
 
 
 def run_spmd(size: int, fn: Callable[..., Generator], *args: Any, **kwargs: Any) -> list[Any]:
@@ -151,83 +87,32 @@ def run_spmd(size: int, fn: Callable[..., Generator], *args: Any, **kwargs: Any)
         if not hasattr(gen, "send"):
             raise MPIError("rank function must be a generator function")
         states.append(_RankState(gen=gen, comm=comm))
-    mailbox: dict[int, deque[tuple[int, int, Any]]] = {r: deque() for r in range(size)}
 
     def step(state: _RankState) -> None:
         """Advance one rank until it blocks or finishes."""
-        while True:
-            try:
-                if not state.started:
-                    state.started = True
-                    yielded = next(state.gen)
-                else:
-                    value, state.send_value = state.send_value, None
-                    yielded = state.gen.send(value)
-            except StopIteration as stop:
-                state.finished = True
-                state.result = stop.value
-                return
-            if isinstance(yielded, _Send):
-                mailbox[yielded.dest].append((state.comm.rank, yielded.tag, yielded.value))
-                state.send_value = None
-                continue
-            if isinstance(yielded, _Recv):
-                msg = _match(mailbox[state.comm.rank], yielded)
-                if msg is not None:
-                    state.send_value = msg
-                    continue
-                state.blocked_on = yielded
-                return
-            if isinstance(yielded, _Collective):
-                state.blocked_on = yielded
-                state.collective_count += 1
-                return
+        value, state.send_value = state.send_value, None
+        try:
+            yielded = state.gen.send(value)  # send(None) starts a fresh generator
+        except StopIteration as stop:
+            state.finished = True
+            state.result = stop.value
+            return
+        if not isinstance(yielded, _Collective):
             raise MPIError(f"rank {state.comm.rank} yielded unsupported {yielded!r}")
+        state.blocked_on = yielded
 
-    def _match(queue: deque, want: _Recv) -> Optional[Any]:
-        for i, (src, tag, value) in enumerate(queue):
-            if (want.source in (-1, src)) and (want.tag in (-1, tag)):
-                del queue[i]
-                return value
-        return None
-
-    # main loop: advance every runnable rank, then resolve blockers
+    # main loop: advance every rank to its next collective, then resolve it
     for st in states:
         step(st)
     while not all(s.finished for s in states):
-        progressed = False
-        # retry receives (messages may have arrived)
-        for st in states:
-            if not st.finished and isinstance(st.blocked_on, _Recv):
-                msg = _match(mailbox[st.comm.rank], st.blocked_on)
-                if msg is not None:
-                    st.blocked_on = None
-                    st.send_value = msg
-                    progressed = True
-                    step(st)
-        # resolve a collective if all unfinished ranks sit on the same one
-        live = [s for s in states if not s.finished]
-        if live and all(isinstance(s.blocked_on, _Collective) for s in live):
-            if len(live) != size:
-                bad = [s.comm.rank for s in states if s.finished]
-                raise MPIError(f"ranks {bad} exited while others wait in a collective")
-            kinds = {s.blocked_on.kind for s in live}
-            counts = {s.collective_count for s in live}
-            if len(kinds) != 1 or len(counts) != 1:
-                raise MPIError(f"collective mismatch: kinds={kinds}, counts={counts}")
-            roots = {s.blocked_on.root for s in live}
-            if len(roots) != 1:
-                raise MPIError(f"collective root mismatch: {roots}")
-            results = _compute_collective(kinds.pop(), states)
-            for st in states:
-                st.blocked_on = None
-                st.send_value = results[st.comm.rank]
-            progressed = True
-            for st in states:
-                step(st)
-        if not progressed:
-            stuck = {
-                s.comm.rank: type(s.blocked_on).__name__ for s in states if not s.finished
-            }
-            raise MPIError(f"deadlock: ranks blocked on {stuck}")
+        if any(s.finished for s in states):
+            bad = [s.comm.rank for s in states if s.finished]
+            raise MPIError(f"ranks {bad} exited while others wait in a collective")
+        kinds = {s.blocked_on.kind for s in states}
+        if len(kinds) != 1:
+            raise MPIError(f"collective mismatch: kinds={kinds}")
+        results = _compute_collective(kinds.pop(), states)
+        for st, result in zip(states, results):
+            st.send_value = result
+            step(st)
     return [s.result for s in states]

@@ -59,10 +59,8 @@ class PFSParams:
         every pre-knob configuration.  Otherwise a spec understood by
         :func:`repro.placement.congestion.build_placement`: a
         :class:`~repro.placement.strategies.PlacementStrategy` instance,
-        a factory callable, or a string such as ``"round-robin"``,
-        ``"crush"``, ``"raid-group-4"``, ``"congestion"`` /
-        ``"congestion:<base>"`` (fabric-feedback re-weighting; see
-        docs/placement.md).
+        ``"round-robin"`` or ``"congestion"`` (round-robin re-weighted
+        by fabric feedback; see docs/placement.md).
     redundancy: data redundancy for degraded-mode operation.  ``None``
         (default) stores one copy, so a request to a dead server fails
         once its retries are spent.  Otherwise a spec understood by

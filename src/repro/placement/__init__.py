@@ -1,48 +1,21 @@
-"""Data-placement strategy simulator (report §4.2.3, "Parallel Layout").
-
-UCSC's trace-driven simulator compared how Ceph, PanFS, and PVFS choose
-storage nodes for chunks of data.  This package implements the three
-strategy *families* behind those systems and the metrics the study used:
+"""Data-placement strategies (report §4.2.3, "Parallel Layout").
 
 * :class:`RoundRobinPlacement` — PVFS: deterministic striping from a
-  per-file start offset;
-* :class:`CrushLikePlacement`  — Ceph: pseudo-random weighted placement
-  (straw-bucket style) with near-minimal migration when servers join;
-* :class:`RaidGroupPlacement`  — PanFS: each file's objects live in a
-  small RAID group chosen per file, striped within the group.
-
-Metrics: per-server load balance under a workload of file sizes, and the
-fraction of data that must move when the cluster grows.
-
-:mod:`repro.placement.congestion` closes the loop with the network
-fabric: :class:`CongestionAwarePlacement` wraps any strategy and
-re-weights its choice with live per-port occupancy/drop costs
-(see docs/placement.md).
+  per-file start offset, the base every placed ``SimPFS`` layout uses;
+* :class:`CongestionAwarePlacement` (:mod:`repro.placement.congestion`)
+  closes the loop with the network fabric: it wraps any strategy and
+  re-weights its choice with live per-port occupancy/drop costs (see
+  docs/placement.md);
+* :mod:`repro.placement.rebuild` steers rebuilt shares off flapping
+  servers.
 """
 
 from repro.placement.congestion import CongestionAwarePlacement, build_placement
-from repro.placement.strategies import (
-    CrushLikePlacement,
-    PlacementStrategy,
-    RaidGroupPlacement,
-    RoundRobinPlacement,
-)
-from repro.placement.evaluate import (
-    load_distribution,
-    imbalance,
-    migration_fraction,
-    synthetic_file_sizes,
-)
+from repro.placement.strategies import PlacementStrategy, RoundRobinPlacement
 
 __all__ = [
     "CongestionAwarePlacement",
-    "CrushLikePlacement",
     "PlacementStrategy",
-    "RaidGroupPlacement",
     "RoundRobinPlacement",
     "build_placement",
-    "imbalance",
-    "load_distribution",
-    "migration_fraction",
-    "synthetic_file_sizes",
 ]

@@ -11,9 +11,8 @@ congestion collapse at hot switch ports.  This module closes the loop:
   :class:`~repro.net.feedback.FabricFeedback` (EWMA-smoothed occupancy +
   drop rates read off the switch ports);
 * :func:`build_placement` resolves the ``PFSParams.placement`` knob —
-  a strategy instance, a spec string (``"round-robin"``, ``"crush"``,
-  ``"raid-group-4"``, ``"congestion"``, ``"congestion:crush"`` …), or a
-  factory callable — into a bound strategy.
+  a strategy instance, ``"round-robin"`` or ``"congestion"`` — into a
+  bound strategy.
 
 Two invariants placement consumers rely on:
 
@@ -21,21 +20,16 @@ Two invariants placement consumers rely on:
   or stale telemetry (the EWMA decays to zero), ``place()`` returns
   exactly the wrapped strategy's choice;
 * **structure-preserving diversion** — alternates are the servers the
-  base strategy uses for *neighbouring* chunks, so a RAID-group file
-  stays inside its group and a round-robin file stays in rotation order.
+  base strategy uses for *neighbouring* chunks, so a round-robin file
+  stays in rotation order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.net.feedback import FabricFeedback
-from repro.placement.strategies import (
-    CrushLikePlacement,
-    PlacementStrategy,
-    RaidGroupPlacement,
-    RoundRobinPlacement,
-)
+from repro.placement.strategies import PlacementStrategy, RoundRobinPlacement
 
 
 class CongestionAwarePlacement(PlacementStrategy):
@@ -58,7 +52,7 @@ class CongestionAwarePlacement(PlacementStrategy):
         idle_threshold: float = 1e-3,
         hysteresis: float = 0.05,
     ) -> None:
-        super().__init__(base.n_servers, weights=base.weights)
+        super().__init__(base.n_servers)
         if fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {fanout}")
         if feedback is not None and feedback.n_servers != base.n_servers:
@@ -80,10 +74,10 @@ class CongestionAwarePlacement(PlacementStrategy):
     def candidates(self, file_id: int, chunk: int) -> list[int]:
         """Base choice first, then the base strategy's picks for the
         following chunks (deduplicated) — alternates that respect the
-        wrapped strategy's structure (RAID group membership, rotation)."""
+        wrapped strategy's structure (its rotation order)."""
         seen: list[int] = []
         probe = 0
-        limit = 4 * self.fanout  # crush-like bases may repeat; bound the scan
+        limit = 4 * self.fanout  # a base may repeat servers; bound the scan
         while len(seen) < min(self.fanout, self.n_servers) and probe < limit:
             s = self.base.place(file_id, chunk + probe)
             if s not in seen:
@@ -107,35 +101,15 @@ class CongestionAwarePlacement(PlacementStrategy):
         return best
 
 
-_BASE_SPECS: dict[str, Callable[[int], PlacementStrategy]] = {
-    "round-robin": RoundRobinPlacement,
-    "rr": RoundRobinPlacement,
-    "crush": CrushLikePlacement,
-    "crush-like": CrushLikePlacement,
-}
-
-
-def _build_base(spec: str, n_servers: int) -> PlacementStrategy:
-    maker = _BASE_SPECS.get(spec)
-    if maker is not None:
-        return maker(n_servers)
-    if spec.startswith("raid-group"):
-        tail = spec[len("raid-group"):]
-        size = int(tail.lstrip("-")) if tail else 4
-        return RaidGroupPlacement(n_servers, group_size=min(size, n_servers))
-    raise ValueError(f"unknown placement spec {spec!r}")
-
-
 def build_placement(spec, topology) -> PlacementStrategy:
     """Resolve the ``PFSParams.placement`` knob into a bound strategy.
 
-    ``spec`` may be a :class:`PlacementStrategy` (used as-is), a factory
-    callable ``f(topology)``, or a spec string.  ``"congestion"``
-    (optionally ``"congestion:<base>"``) wraps the base in
-    :class:`CongestionAwarePlacement` sensing ``topology``'s own ports
-    (:meth:`repro.net.feedback.FabricFeedback.for_topology`): on a
-    leaf/spine fabric each server's cost includes its rack downlink, so
-    a hot uplink steers new stripes toward other racks, not just other
+    ``spec`` is a :class:`PlacementStrategy` (used as-is, once its server
+    count is checked), ``"round-robin"``, or ``"congestion"``: round-robin
+    wrapped in :class:`CongestionAwarePlacement` sensing ``topology``'s
+    own ports (:meth:`repro.net.feedback.FabricFeedback.for_topology`).
+    On a leaf/spine fabric each server's cost includes its rack downlink,
+    so a hot uplink steers new stripes toward other racks, not just other
     edge ports.
     """
     n_servers = topology.n_servers
@@ -146,11 +120,10 @@ def build_placement(spec, topology) -> PlacementStrategy:
                 f"deployment has {n_servers}"
             )
         return spec
-    if callable(spec):
-        return spec(topology)
-    if not isinstance(spec, str):
-        raise TypeError(f"placement spec must be a strategy, callable, or str, got {type(spec)}")
-    if spec == "congestion" or spec.startswith("congestion:"):
-        base = _build_base(spec.partition(":")[2] or "round-robin", n_servers)
-        return CongestionAwarePlacement(base, feedback=FabricFeedback.for_topology(topology))
-    return _build_base(spec, n_servers)
+    if spec == "round-robin":
+        return RoundRobinPlacement(n_servers)
+    if spec == "congestion":
+        return CongestionAwarePlacement(
+            RoundRobinPlacement(n_servers), feedback=FabricFeedback.for_topology(topology)
+        )
+    raise ValueError(f"unknown placement spec {spec!r}")

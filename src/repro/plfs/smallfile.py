@@ -4,13 +4,13 @@ smaller number of bigger containers").
 File-per-process workloads with *tiny* files invert PLFS's usual problem:
 the data is fine, the metadata storm (N creates) kills the MDS.  Small-
 file mode stores many logical files inside one container: each writer has
-one packed data dropping plus a name-log dropping of operations::
+one packed data dropping plus a name-log dropping of records::
 
-    (op, name, length, physical_offset, timestamp)
+    (name, length, physical_offset, timestamp)
 
-Ops: ``create`` (write-once blob) and ``remove`` (tombstone).  Read-side,
-the name logs merge by timestamp (latest op per name wins), exactly the
-PLFS index idiom lifted from byte ranges to names.
+Each record is one write-once blob.  Read-side, the name logs merge by
+timestamp (latest record per name wins), exactly the PLFS index idiom
+lifted from byte ranges to names.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.plfs.filehandle import WriteClock
 
 @dataclass(frozen=True)
 class NameRecord:
-    op: str                # 'create' | 'remove'
     name: str
     length: int
     physical_offset: int
@@ -55,18 +54,9 @@ class SmallFileWriter:
         if "\n" in name or not name:
             raise ValueError("names must be non-empty and newline-free")
         self._data.write(data)
-        rec = {
-            "op": "create", "name": name, "len": len(data),
-            "off": self._physical, "ts": self.clock.tick(),
-        }
+        rec = {"name": name, "len": len(data), "off": self._physical, "ts": self.clock.tick()}
         self._namelog.write(json.dumps(rec) + "\n")
         self._physical += len(data)
-
-    def remove(self, name: str) -> None:
-        """Tombstone a logical file."""
-        self._check_open()
-        rec = {"op": "remove", "name": name, "len": 0, "off": 0, "ts": self.clock.tick()}
-        self._namelog.write(json.dumps(rec) + "\n")
 
     def close(self) -> None:
         if self._closed:
@@ -103,21 +93,17 @@ class SmallFileReader:
             widx = len(self._data_paths) - 1
             for line in namelog.read_text().splitlines():
                 d = json.loads(line)
-                rec = NameRecord(d["op"], d["name"], d["len"], d["off"], d["ts"], widx)
+                rec = NameRecord(d["name"], d["len"], d["off"], d["ts"], widx)
                 prev = self._latest.get(rec.name)
                 if prev is None or rec.timestamp > prev.timestamp:
                     self._latest[rec.name] = rec
 
     def names(self) -> list[str]:
-        return sorted(n for n, r in self._latest.items() if r.op == "create")
-
-    def exists(self, name: str) -> bool:
-        rec = self._latest.get(name)
-        return rec is not None and rec.op == "create"
+        return sorted(self._latest)
 
     def read(self, name: str) -> bytes:
         rec = self._latest.get(name)
-        if rec is None or rec.op != "create":
+        if rec is None:
             raise FileNotFoundError(name)
         with open(self._data_paths[rec.writer], "rb") as f:
             f.seek(rec.physical_offset)
@@ -125,12 +111,6 @@ class SmallFileReader:
         if len(data) != rec.length:
             raise IOError(f"short read for packed file {name!r}")
         return data
-
-    def stat(self, name: str) -> dict:
-        rec = self._latest.get(name)
-        if rec is None or rec.op != "create":
-            raise FileNotFoundError(name)
-        return {"size": rec.length, "writer": rec.writer}
 
 
 def backing_file_count(container: Container) -> int:

@@ -7,16 +7,11 @@ number).  No wall-clock or nondeterministic source is consulted anywhere.
 
 from __future__ import annotations
 
-import re
 import time as _time
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Any, Callable, Generator, Optional
 
 from repro.obs import current as _current_obs
-
-#: Process labels are grouped by stripping run numbers: "osd12" and
-#: "osd3" both profile as "osd#", "shuffle:3->1" as "shuffle:#->#".
-_DIGITS = re.compile(r"\d+")
 
 
 class SimulationError(RuntimeError):
@@ -202,20 +197,11 @@ class Simulator:
         lifecycle totals into the bundle's registry at the end of every
         :meth:`run` slice, and resources built on this simulator record
         wait/service histograms.
-    profile:
-        Kernel profiler knob (flight-recorder pillar 2).  ``False``
-        (default) disables it; ``True`` measures the wall time of every
-        dispatched event; an integer ``n > 1`` samples one event in
-        ``n`` (the sampled counts/times are ~``1/n`` of the totals).
-        Samples are attributed to the scheduled callback's *label* —
-        the owning process name with run numbers stripped (``osd#``),
-        or the callback's qualname — and read back via
-        :meth:`profile_stats`.  Profiling never touches simulated time.
 
-    Independently of ``obs`` and ``profile``, the kernel keeps **always-
-    on totals** cheap enough for uninstrumented runs — events scheduled/
-    dispatched, processes spawned/finished, max heap depth, wall-clock
-    per :meth:`run` slice — snapshot via :meth:`event_stats`.
+    Independently of ``obs``, the kernel keeps **always-on totals** cheap
+    enough for uninstrumented runs — events scheduled/dispatched,
+    processes spawned/finished, max heap depth, wall-clock per
+    :meth:`run` slice — snapshot via :meth:`event_stats`.
 
     **Batching facilities** (used by high-fan-in consumers such as the
     fluid fabric engine, :mod:`repro.net.fluid`):
@@ -232,7 +218,7 @@ class Simulator:
     (same-time events fire in scheduling order) changes.
     """
 
-    def __init__(self, obs=None, profile: Union[bool, int] = False) -> None:
+    def __init__(self, obs=None) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
@@ -249,8 +235,6 @@ class Simulator:
         self.wakeups_coalesced = 0
         self._event_pool: list[Event] = []
         self.events_pooled = 0
-        self._profile_every = 1 if profile is True else int(profile)
-        self._profile_acc: dict[str, list] = {}  # label -> [samples, wall_s]
         self.obs = obs if obs is not None else _current_obs()
         # registry counters mirroring four of the totals, and the totals
         # they last received: topped up once per run slice, not per event
@@ -361,10 +345,8 @@ class Simulator:
         Returns the final simulation time.  An exception that escapes a
         process with no waiter aborts the run and is re-raised here.
 
-        The loop is picked once per call: the lean one pops, sets
-        ``now``, calls and checks for a crash; the profiled one, used
-        only when ``profile=`` is set, also times every sampled event.
-        The heap's peak depth is sampled before every pop.
+        The loop pops, sets ``now``, calls and checks for a crash; the
+        heap's peak depth is sampled before every pop.
         """
         heap = self._heap
         stop = float("inf") if until is None else until
@@ -373,38 +355,18 @@ class Simulator:
         wall0 = _time.perf_counter()
         self.run_slices += 1
         try:
-            if not self._profile_every:
-                while heap:
-                    if len(heap) > peak:
-                        peak = len(heap)
-                    if heap[0][0] > stop:
-                        break
-                    time, _seq, fn, args = heappop(heap)
-                    self.now = time
-                    n_disp += 1
-                    fn(*args)
-                    if self._crashed is not None:
-                        exc, self._crashed = self._crashed, None
-                        raise exc
-            else:
-                every = self._profile_every
-                while heap:
-                    if len(heap) > peak:
-                        peak = len(heap)
-                    if heap[0][0] > stop:
-                        break
-                    time, _seq, fn, args = heappop(heap)
-                    self.now = time
-                    n_disp += 1
-                    if n_disp % every == 0:
-                        t0 = _time.perf_counter()
-                        fn(*args)
-                        self._profile_note(fn, _time.perf_counter() - t0)
-                    else:
-                        fn(*args)
-                    if self._crashed is not None:
-                        exc, self._crashed = self._crashed, None
-                        raise exc
+            while heap:
+                if len(heap) > peak:
+                    peak = len(heap)
+                if heap[0][0] > stop:
+                    break
+                time, _seq, fn, args = heappop(heap)
+                self.now = time
+                n_disp += 1
+                fn(*args)
+                if self._crashed is not None:
+                    exc, self._crashed = self._crashed, None
+                    raise exc
             # stopped short of a pending event, or drained before ``until``
             if until is not None and (heap or until > self.now):
                 self.now = until
@@ -448,36 +410,4 @@ class Simulator:
                 self.events_dispatched / self.run_wall_s if self.run_wall_s > 0 else 0.0
             ),
             "now": self.now,
-        }
-
-    def _profile_note(self, fn: Callable, wall_s: float) -> None:
-        owner = getattr(fn, "__self__", None)
-        if isinstance(owner, Process):
-            label = owner.name
-        else:
-            label = getattr(fn, "__qualname__", repr(fn))
-        label = _DIGITS.sub("#", label)
-        acc = self._profile_acc.get(label)
-        if acc is None:
-            self._profile_acc[label] = [1, wall_s]
-        else:
-            acc[0] += 1
-            acc[1] += wall_s
-
-    def profile_stats(self) -> dict[str, dict]:
-        """Sampled per-label wall time (requires ``profile=``), sorted by label.
-
-        With ``profile=n`` each label's ``est_events`` / ``est_wall_s``
-        scale the samples back up by ``n``; with ``profile=True`` they
-        equal the measured values.
-        """
-        every = self._profile_every or 1
-        return {
-            label: {
-                "samples": samples,
-                "wall_s": wall,
-                "est_events": samples * every,
-                "est_wall_s": wall * every,
-            }
-            for label, (samples, wall) in sorted(self._profile_acc.items())
         }

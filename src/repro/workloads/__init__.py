@@ -2,7 +2,7 @@
 
 The PDSI characterization effort (§3.2) traced S3D, FLASH, Chombo, POP,
 GTC, NWChem and others; what matters to the storage system is each code's
-*access pattern* — N-1 strided vs segmented vs N-N, record sizes, and
+*access pattern* — N-1 strided vs segmented, record sizes, and
 alignment.  These generators emit those patterns as plain
 ``pattern[rank] = [(logical_offset, nbytes), ...]`` lists consumed by the
 PLFS sim bridge, plus device-level sweeps (IOZone-like).  The
@@ -13,7 +13,6 @@ Metarates-style metadata storm lives with its model, in
 from repro.workloads.patterns import (
     n1_segmented,
     n1_strided,
-    nn_private,
     overlap_bytes,
     pattern_bytes,
     with_jitter,
@@ -42,7 +41,6 @@ __all__ = [
     "iozone_random_iops",
     "n1_segmented",
     "n1_strided",
-    "nn_private",
     "overlap_bytes",
     "pattern_bytes",
     "predict_checkpoint_series",

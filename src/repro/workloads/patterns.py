@@ -7,8 +7,6 @@ Terminology follows the report (and the PLFS paper):
   Ninjat image shows).  The pathological case for deployed parallel FSes.
 * **N-1 segmented**: one shared file, but each rank owns one contiguous
   region.
-* **N-N**: one private file per rank (expressed here as per-rank offsets
-  starting at 0; the consumer decides file naming).
 """
 
 from __future__ import annotations
@@ -35,15 +33,6 @@ def n1_segmented(n_ranks: int, record_bytes: int, steps: int) -> Pattern:
     return [
         [(r * region + s * record_bytes, record_bytes) for s in range(steps)]
         for r in range(n_ranks)
-    ]
-
-
-def nn_private(n_ranks: int, record_bytes: int, steps: int) -> Pattern:
-    """Per-rank private streams (offsets relative to each rank's own file)."""
-    _check(n_ranks, record_bytes, steps)
-    return [
-        [(s * record_bytes, record_bytes) for s in range(steps)]
-        for _ in range(n_ranks)
     ]
 
 

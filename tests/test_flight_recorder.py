@@ -1,4 +1,4 @@
-"""Flight-recorder tests: request contexts, critical path, profiler.
+"""Flight-recorder tests: request contexts, critical path, kernel totals.
 
 Covers the three tentpole pillars (docs/observability.md) plus the
 ISSUE-6 satellites: span nesting across fabric sim processes,
@@ -274,7 +274,7 @@ def test_request_minting_isolated_between_bundles():
     assert o1._next_rid == 2  # untouched by o2's minting
 
 
-# -- kernel profiler (pillar 2) -----------------------------------------
+# -- kernel totals (pillar 2) -------------------------------------------
 def test_event_stats_without_bundle():
     sim = Simulator()
 
@@ -294,39 +294,7 @@ def test_event_stats_without_bundle():
     assert st["now"] == pytest.approx(2.0)
 
 
-def test_profile_labels_strip_run_numbers():
-    sim = Simulator(profile=True)
-
-    def p():
-        yield Timeout(0.5)
-
-    for i in range(4):
-        sim.spawn(p(), name=f"osd{i}")
-    sim.run()
-    stats = sim.profile_stats()
-    assert set(stats) == {"osd#"}
-    row = stats["osd#"]
-    assert row["samples"] == row["est_events"] == sim.events_dispatched
-    assert row["wall_s"] >= 0.0
-
-
-def test_profile_sampling_one_in_n():
-    sim = Simulator(profile=4)
-
-    def p():
-        for _ in range(20):
-            yield Timeout(0.1)
-
-    sim.spawn(p(), name="worker")
-    sim.run()
-    stats = sim.profile_stats()
-    total = sum(r["samples"] for r in stats.values())
-    assert total == sim.events_dispatched // 4
-    for row in stats.values():
-        assert row["est_events"] == row["samples"] * 4
-
-
-def test_profile_off_by_default_and_heap_gauge_with_bundle():
+def test_heap_gauge_with_bundle():
     with obs_mod.use(Observability(name="gauge")) as o:
         sim = Simulator()
 
@@ -336,7 +304,6 @@ def test_profile_off_by_default_and_heap_gauge_with_bundle():
         for i in range(5):
             sim.spawn(p(), name=f"g{i}")
         sim.run()
-        assert sim._profile_every == 0 and sim.profile_stats() == {}
         g = o.metrics.snapshot()["gauges"]["sim.max_heap_depth"]
         assert g == sim.max_heap_depth >= 5
 

@@ -23,59 +23,12 @@ def test_allreduce_custom_op():
     assert run_spmd(4, app) == [24] * 4
 
 
-def test_reduce_only_root_gets_value():
+def test_allgather():
     def app(comm):
-        v = yield comm.reduce(comm.rank, root=2)
-        return v
-
-    assert run_spmd(4, app) == [None, None, 6, None]
-
-
-def test_bcast_from_root():
-    def app(comm):
-        value = "payload" if comm.rank == 1 else None
-        got = yield comm.bcast(value, root=1)
-        return got
-
-    assert run_spmd(3, app) == ["payload"] * 3
-
-
-def test_gather_and_allgather():
-    def app(comm):
-        g = yield comm.gather(comm.rank * 10, root=0)
         ag = yield comm.allgather(comm.rank)
-        return (g, ag)
+        return ag
 
-    out = run_spmd(3, app)
-    assert out[0] == ([0, 10, 20], [0, 1, 2])
-    assert out[1] == (None, [0, 1, 2])
-
-
-def test_scatter():
-    def app(comm):
-        values = [i * i for i in range(comm.size)] if comm.rank == 0 else None
-        got = yield comm.scatter(values, root=0)
-        return got
-
-    assert run_spmd(4, app) == [0, 1, 4, 9]
-
-
-def test_scatter_wrong_length_raises():
-    def app(comm):
-        values = [1, 2] if comm.rank == 0 else None
-        yield comm.scatter(values, root=0)
-
-    with pytest.raises(MPIError, match="scatter"):
-        run_spmd(3, app)
-
-
-def test_alltoall():
-    def app(comm):
-        out = yield comm.alltoall([f"{comm.rank}->{d}" for d in range(comm.size)])
-        return out
-
-    out = run_spmd(3, app)
-    assert out[1] == ["0->1", "1->1", "2->1"]
+    assert run_spmd(3, app) == [[0, 1, 2]] * 3
 
 
 def test_barrier_synchronizes_phases():
@@ -91,49 +44,6 @@ def test_barrier_synchronizes_phases():
     post_start = order.index(("post", 0))
     assert len(pre) == 3
     assert all(phase == "post" for phase, _ in order[post_start:])
-
-
-def test_send_recv_pair():
-    def app(comm):
-        if comm.rank == 0:
-            yield comm.send("hello", dest=1, tag=7)
-            return None
-        got = yield comm.recv(source=0, tag=7)
-        return got
-
-    assert run_spmd(2, app) == [None, "hello"]
-
-
-def test_recv_any_source():
-    def app(comm):
-        if comm.rank == 0:
-            msgs = []
-            for _ in range(comm.size - 1):
-                msgs.append((yield comm.recv()))
-            return sorted(msgs)
-        yield comm.send(comm.rank, dest=0)
-
-    out = run_spmd(4, app)
-    assert out[0] == [1, 2, 3]
-
-
-def test_ring_pass():
-    def app(comm):
-        nxt = (comm.rank + 1) % comm.size
-        prv = (comm.rank - 1) % comm.size
-        yield comm.send(comm.rank, dest=nxt, tag=1)
-        got = yield comm.recv(source=prv, tag=1)
-        return got
-
-    assert run_spmd(5, app) == [4, 0, 1, 2, 3]
-
-
-def test_deadlock_detected():
-    def app(comm):
-        yield comm.recv(source=(comm.rank + 1) % comm.size, tag=99)
-
-    with pytest.raises(MPIError, match="deadlock"):
-        run_spmd(2, app)
 
 
 def test_collective_mismatch_detected():
@@ -154,14 +64,6 @@ def test_rank_exit_during_collective_detected():
         yield comm.barrier()
 
     with pytest.raises(MPIError, match="exited"):
-        run_spmd(2, app)
-
-
-def test_root_mismatch_detected():
-    def app(comm):
-        yield comm.bcast("x", root=comm.rank)
-
-    with pytest.raises(MPIError, match="root"):
         run_spmd(2, app)
 
 

@@ -1,18 +1,9 @@
-"""Tests for placement strategies and their evaluation."""
+"""Tests for the round-robin placement strategy."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.placement import (
-    CrushLikePlacement,
-    RaidGroupPlacement,
-    RoundRobinPlacement,
-    imbalance,
-    load_distribution,
-    migration_fraction,
-    synthetic_file_sizes,
-)
+from repro.placement import RoundRobinPlacement
 
 
 def test_round_robin_determinism_and_range():
@@ -24,88 +15,9 @@ def test_round_robin_determinism_and_range():
             assert 0 <= p.place(f, c) < 5
 
 
-def test_crush_deterministic():
-    p = CrushLikePlacement(8)
-    assert [p.place(1, c) for c in range(20)] == [p.place(1, c) for c in range(20)]
-
-
-def test_crush_weighted_placement_respects_weights():
-    p = CrushLikePlacement(4, weights=[1.0, 1.0, 1.0, 5.0])
-    counts = np.zeros(4)
-    for f in range(200):
-        for c in range(10):
-            counts[p.place(f, c)] += 1
-    assert counts[3] > 2.0 * counts[:3].mean()
-
-
-def test_raid_group_within_group():
-    p = RaidGroupPlacement(10, group_size=3)
-    group = p.group_of(42)
-    assert len(set(group)) == 3
-    for c in range(12):
-        assert p.place(42, c) in group
-
-
 def test_invalid_params():
     with pytest.raises(ValueError):
         RoundRobinPlacement(0)
-    with pytest.raises(ValueError):
-        CrushLikePlacement(3, weights=[1.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
-        RaidGroupPlacement(4, group_size=9)
-
-
-def test_load_balance_all_strategies_reasonable():
-    rng = np.random.default_rng(0)
-    sizes = synthetic_file_sizes(400, rng)
-    for strat in (
-        RoundRobinPlacement(8),
-        CrushLikePlacement(8),
-        RaidGroupPlacement(8, group_size=4),
-    ):
-        load = load_distribution(strat, sizes)
-        assert load.sum() == sizes.sum()
-        assert imbalance(load) < 2.0, strat.name
-
-
-def test_round_robin_balances_large_files_best():
-    """Striping every file across all servers balances perfectly for
-    chunk-heavy workloads."""
-    rng = np.random.default_rng(1)
-    sizes = synthetic_file_sizes(200, rng, median_bytes=64 << 20)
-    rr = imbalance(load_distribution(RoundRobinPlacement(8), sizes))
-    rg = imbalance(load_distribution(RaidGroupPlacement(8, group_size=2), sizes))
-    assert rr <= rg
-
-
-def test_crush_migration_near_minimal_on_growth():
-    """CRUSH property: growing 8 -> 9 servers moves ~1/9 of the data;
-    modulo striping reshuffles nearly everything."""
-    rng = np.random.default_rng(2)
-    sizes = synthetic_file_sizes(300, rng)
-    crush_moved = migration_fraction(
-        CrushLikePlacement(8), CrushLikePlacement(9), sizes
-    )
-    rr_moved = migration_fraction(
-        RoundRobinPlacement(8), RoundRobinPlacement(9), sizes
-    )
-    assert crush_moved < 0.2          # close to the 1/9 = 0.11 minimum
-    assert rr_moved > 0.5             # catastrophic reshuffle
-    assert crush_moved < rr_moved / 3
-
-
-def test_synthetic_sizes_positive_lognormal():
-    rng = np.random.default_rng(3)
-    sizes = synthetic_file_sizes(1000, rng)
-    assert (sizes >= 1).all()
-    assert sizes.max() > 10 * np.median(sizes)  # heavy tail
-    with pytest.raises(ValueError):
-        synthetic_file_sizes(0, rng)
-
-
-def test_imbalance_of_uniform_load():
-    assert imbalance(np.array([5, 5, 5, 5])) == pytest.approx(1.0)
-    assert imbalance(np.zeros(4)) == 1.0
 
 
 @given(
@@ -115,11 +27,7 @@ def test_imbalance_of_uniform_load():
 )
 @settings(max_examples=60, deadline=None)
 def test_all_strategies_in_range(n_servers, file_id, chunk):
-    for strat in (
-        RoundRobinPlacement(n_servers),
-        CrushLikePlacement(n_servers),
-        RaidGroupPlacement(n_servers, group_size=min(3, n_servers)),
-    ):
-        s = strat.place(file_id, chunk)
-        assert 0 <= s < n_servers
-        assert strat.place(file_id, chunk) == s  # deterministic
+    strat = RoundRobinPlacement(n_servers)
+    s = strat.place(file_id, chunk)
+    assert 0 <= s < n_servers
+    assert strat.place(file_id, chunk) == s  # deterministic

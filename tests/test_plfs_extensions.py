@@ -142,21 +142,8 @@ def test_smallfile_pack_and_read(tmp_path):
     r = SmallFileReader(c)
     assert len(r.names()) == 100
     assert r.read("tiny.42") == b"payload-42"
-    assert r.stat("tiny.7")["size"] == len(b"payload-7")
-
-
-def test_smallfile_remove_tombstone(tmp_path):
-    c = Container.create(tmp_path / "packed")
-    clock = WriteClock()
-    with SmallFileWriter(c, "w0", clock) as w:
-        w.create("a", b"1")
-        w.create("b", b"2")
-        w.remove("a")
-    r = SmallFileReader(c)
-    assert r.names() == ["b"]
-    assert not r.exists("a")
     with pytest.raises(FileNotFoundError):
-        r.read("a")
+        r.read("tiny.100")
 
 
 def test_smallfile_multiwriter_merge(tmp_path):

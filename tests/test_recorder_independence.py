@@ -65,7 +65,7 @@ def _skewed_write(placement):
     return sim.now, dict(pfs.placement._chunk_server), pfs.placement.strategy.diversions
 
 
-@pytest.mark.parametrize("placement", ["congestion", "congestion:crush"])
+@pytest.mark.parametrize("placement", ["congestion"])
 def test_congestion_placement_is_recorder_independent(placement):
     recorded, bare = _both_ways(lambda: _skewed_write(placement))
     assert recorded == bare

@@ -14,7 +14,6 @@ from repro.workloads import (
     iozone_random_iops,
     n1_segmented,
     n1_strided,
-    nn_private,
     pattern_bytes,
     with_jitter,
 )
@@ -38,11 +37,6 @@ def test_n1_segmented_contiguous_regions():
     assert p[1][0] == (30, 10)
 
 
-def test_nn_private_starts_at_zero():
-    p = nn_private(3, 8, 2)
-    assert all(writes[0] == (0, 8) for writes in p)
-
-
 def test_patterns_disjoint_and_cover():
     """Strided and segmented patterns tile the file with no overlap."""
     for maker in (n1_strided, n1_segmented):
@@ -62,7 +56,7 @@ def test_invalid_pattern_args():
     with pytest.raises(ValueError):
         n1_segmented(1, 0, 1)
     with pytest.raises(ValueError):
-        nn_private(1, 1, 0)
+        n1_segmented(1, 1, 0)
 
 
 def test_with_jitter_keeps_offsets_bounds_sizes():
@@ -78,7 +72,7 @@ def test_with_jitter_keeps_offsets_bounds_sizes():
 @given(n=st.integers(1, 10), rec=st.integers(1, 1000), steps=st.integers(1, 10))
 @settings(max_examples=40, deadline=None)
 def test_pattern_byte_conservation(n, rec, steps):
-    for maker in (n1_strided, n1_segmented, nn_private):
+    for maker in (n1_strided, n1_segmented):
         assert pattern_bytes(maker(n, rec, steps)) == n * rec * steps
 
 

@@ -7,16 +7,18 @@ temporary directory, so every printed table is written there as JSON,
 and compares each one with its committed copy in ``benchmarks/results/``.
 For a table that differs it prints the header if that changed and each
 row that changed, old and new.  A table the run prints but nobody
-committed is listed, not compared; a committed table the run does not
-regenerate (the slow-only ones, without ``--slow``) is counted.
+committed is listed and fails the run, since a figure nothing compares
+could move unseen; a committed table the run does not regenerate (the
+slow-only ones, without ``--slow``) is counted.
 
 A table whose numbers are host wall clock (:data:`WALL_CLOCK`) would
 differ on every run and every machine, so it is listed as not
 comparable instead of being compared.
 
-A PR that moves a figure regenerates that table in the same commit, so
-on a committed tree this reports nothing.  Exit status 1 if any
-committed table moved or the benchmark run failed, 0 otherwise.
+A change that moves a figure regenerates that table in the same commit,
+so on a committed tree this reports nothing.  Exit status 1 if any
+committed table moved, a comparable table has no committed copy, or the
+benchmark run failed; 0 otherwise.
 
 Usage: ``python tools/figdrift.py [--slow]``.  The fast set takes about
 6 s; ``--slow`` adds the slow-only sweeps, among them the 1M-client X22
@@ -105,7 +107,7 @@ def main() -> int:
           f"{len(committed - set(fresh))} committed tables were not regenerated")
     if status:
         print(f"benchmark run failed (pytest exit {status})")
-    return 1 if moved or status else 0
+    return 1 if moved or uncommitted or status else 0
 
 
 if __name__ == "__main__":
