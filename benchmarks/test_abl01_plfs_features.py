@@ -54,12 +54,12 @@ def run_ablation(tmpdir):
     with fs.open_write("/batched", create=False, data_buffer_bytes=1 << 20) as h:
         for i in range(512):
             h.write(b"x" * 512, i * 512)
-        batched_flushes = h.data_flushes
+    batched_flushes = h.data_flushes  # after close, which hands the buffer over
     fs.create("/unbatched")
     with fs.open_write("/unbatched", create=False) as h:
         for i in range(512):
             h.write(b"x" * 512, i * 512)
-        unbatched_flushes = h.data_flushes
+    unbatched_flushes = h.data_flushes
     rows.append(["delayed-write batching", f"{unbatched_flushes} -> {batched_flushes} backing writes"])
 
     # -- small-file packing ---------------------------------------------------

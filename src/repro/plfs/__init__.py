@@ -21,7 +21,8 @@ backing directory:
   :mod:`repro.mpi`,
 - :mod:`repro.plfs.flatten` — rewrite a container to a flat file,
 - :mod:`repro.plfs.simbridge` — mirror the same decomposition onto the
-  simulated PFS to measure checkpoint bandwidth (Fig 8 / Fig 2).
+  simulated PFS to measure checkpoint bandwidth (Fig 8 / Fig 2); its
+  runners take a :class:`repro.pfs.PFSParams` and a write pattern.
 """
 
 from repro.plfs.container import Container, ContainerError, is_container

@@ -5,7 +5,9 @@ GTC, NWChem and others; what matters to the storage system is each code's
 *access pattern* — N-1 strided vs segmented, record sizes, and
 alignment.  These generators emit those patterns as plain
 ``pattern[rank] = [(logical_offset, nbytes), ...]`` lists consumed by the
-PLFS sim bridge, plus device-level sweeps (IOZone-like).  The
+PLFS sim bridge (:mod:`repro.plfs.simbridge`, whose runners take a
+``PFSParams`` and one such pattern), plus device-level sweeps
+(IOZone-like).  The
 Metarates-style metadata storm lives with its model, in
 :func:`repro.giga.run_storm`.
 """
@@ -21,7 +23,6 @@ from repro.workloads.apps import (
     APP_CATALOG,
     AppProfile,
     app_pattern,
-    flash_like,
 )
 from repro.workloads.checkpoint import (
     FaultedCheckpointResult,
@@ -36,7 +37,6 @@ __all__ = [
     "FaultedCheckpointResult",
     "S3DWeakScaling",
     "app_pattern",
-    "flash_like",
     "iozone_bandwidth_sweep",
     "iozone_random_iops",
     "n1_segmented",

@@ -109,7 +109,3 @@ def app_pattern(
     if profile.size_jitter > 0.0:
         base = with_jitter(base, rng or np.random.default_rng(0), profile.size_jitter)
     return base
-
-
-def flash_like(n_ranks: int, rng: Optional[np.random.Generator] = None) -> Pattern:
-    return app_pattern(APP_CATALOG["flash"], n_ranks, rng)

@@ -1,12 +1,10 @@
 """IOR-style benchmark driver (the community tool the report's sites use).
 
-IOR writes a shared (or per-process) file in ``transfer_size`` units,
-optionally re-reads and verifies rank-stamped data.  Two back ends:
-
-* ``run_ior_real``  — executes against the *real* PLFS through the
-  MPI-IO adapter: measures wall-clock and verifies every byte;
-* ``run_ior_sim``   — replays the same pattern on the simulated PFS
-  (direct or through PLFS) for bandwidth studies at scale.
+IOR writes a shared file in ``transfer_size`` units, then re-reads and
+verifies rank-stamped data.  ``run_ior_real`` executes it against the
+*real* PLFS through the MPI-IO adapter and verifies every byte; the same
+N-1 patterns run on the simulated PFS through
+:mod:`repro.plfs.simbridge` (``n1_strided``/``n1_segmented`` patterns).
 
 Example
 -------
@@ -22,16 +20,11 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.mpi import run_spmd
-from repro.net.params import FabricParams
 from repro.obs import tracer as _obs_tracer
-from repro.pfs.params import PFSParams
 from repro.plfs.mpiio import PlfsMPIIO
-from repro.plfs.simbridge import CheckpointResult, run_direct_n1, run_plfs
 from repro.plfs.vfs import Plfs
-from repro.workloads.patterns import Pattern, n1_segmented, n1_strided
 
 PATTERNS = ("n1-strided", "n1-segmented")
 
@@ -68,11 +61,6 @@ class IORConfig:
         reps = self.transfer_size // len(tag) + 1
         return (tag * reps)[: self.transfer_size]
 
-    def as_pattern(self) -> Pattern:
-        if self.pattern == "n1-strided":
-            return n1_strided(self.n_ranks, self.transfer_size, self.segments)
-        return n1_segmented(self.n_ranks, self.transfer_size, self.segments)
-
 
 @dataclass
 class IORResult:
@@ -80,14 +68,6 @@ class IORResult:
     write_s: float
     read_s: float
     verified: bool
-
-    @property
-    def write_MBps(self) -> float:
-        return self.config.total_bytes / self.write_s / 1e6 if self.write_s else 0.0
-
-    @property
-    def read_MBps(self) -> float:
-        return self.config.total_bytes / self.read_s / 1e6 if self.read_s else 0.0
 
 
 def run_ior_real(config: IORConfig, plfs: Plfs, path: str = "/ior.out") -> IORResult:
@@ -132,35 +112,3 @@ def run_ior_real(config: IORConfig, plfs: Plfs, path: str = "/ior.out") -> IORRe
         config=config, write_s=wsp.duration, read_s=rsp.duration, verified=verified
     )
 
-
-def run_ior_sim(
-    config: IORConfig,
-    params: PFSParams,
-    via_plfs: bool,
-    fabric: Optional[FabricParams] = None,
-    placement: object | None = None,
-    redundancy=None,
-    resilience=None,
-    faults=None,
-) -> CheckpointResult:
-    """Bandwidth of the same pattern on the simulated PFS.
-
-    ``fabric`` overlays a network-fabric configuration (e.g. finite
-    switch buffers) and ``placement`` a stripe/server selection policy
-    (e.g. ``"congestion"``), so the direct-vs-PLFS comparison can be run
-    under congested networks and congestion-aware layouts.
-    ``redundancy``/``resilience``/``faults`` run the same pattern in
-    degraded mode under an injected :class:`repro.faults.FaultSchedule`
-    (see docs/faults.md).
-    """
-    pattern = config.as_pattern()
-    run = run_plfs if via_plfs else run_direct_n1
-    return run(
-        params,
-        pattern,
-        fabric=fabric,
-        placement=placement,
-        redundancy=redundancy,
-        resilience=resilience,
-        faults=faults,
-    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.pfs.params import PFSParams
-from repro.plfs.simbridge import CheckpointResult, run_direct_n1, run_plfs
+from repro.plfs.simbridge import CheckpointResult, run_direct_n1
 from repro.workloads.patterns import Pattern, n1_segmented
 
 
@@ -48,13 +48,12 @@ class WeakScalingPoint:
 
 
 def measure_weak_scaling(
-    config: S3DWeakScaling, params: PFSParams, scheme: str = "direct"
+    config: S3DWeakScaling, params: PFSParams
 ) -> list[WeakScalingPoint]:
-    """Simulate one checkpoint at each rank count; returns the series."""
+    """Simulate one direct N-1 checkpoint at each rank count; returns the series."""
     out = []
-    runner = run_direct_n1 if scheme == "direct" else run_plfs
     for n in config.rank_counts:
-        res: CheckpointResult = runner(params, config.pattern(n))
+        res: CheckpointResult = run_direct_n1(params, config.pattern(n))
         out.append(
             WeakScalingPoint(
                 n_ranks=n,

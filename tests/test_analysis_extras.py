@@ -1,4 +1,4 @@
-"""Tests for PPM export, sim-bridge compression,
+"""Tests for PPM export, sim-bridge read-back,
 and assorted smaller units (h5lite perf, iozone full sweep, dfs edges)."""
 
 import numpy as np
@@ -8,11 +8,12 @@ from repro.devices import device_model
 from repro.dfs import ClusterSpec, GrepJob, HDFSBackend, run_grep
 from repro.h5lite import H5PerfConfig, run_h5_write
 from repro.pfs import GPFS_LIKE, LUSTRE_LIKE
-from repro.plfs.simbridge import run_plfs, run_readback
+from repro import obs as obs_mod
+from repro.plfs.simbridge import run_readback
 from repro.tracing import TraceLog, raster_wrapped
 from repro.tracing.records import TraceEvent
 from repro.tracing.ninjat import save_ppm
-from repro.workloads import n1_strided
+from repro.workloads import n1_strided, pattern_bytes, with_jitter
 from repro.workloads.iozone import full_sweep
 
 
@@ -51,25 +52,20 @@ def test_save_ppm_distinct_rank_colors(tmp_path):
     assert len(pixels) >= 4  # four ranks, four colors
 
 
-# ------------------------------------------------------------- compression
-def test_simbridge_compression_speeds_checkpoint():
-    pattern = n1_strided(8, 64 * 1024, 8)
-    plain = run_plfs(LUSTRE_LIKE.with_servers(4), pattern)
-    packed = run_plfs(LUSTRE_LIKE.with_servers(4), pattern, compression_ratio=4.0)
-    assert packed.makespan_s < plain.makespan_s
-    assert packed.total_bytes == plain.total_bytes  # logical bytes unchanged
-
-
-def test_simbridge_compression_validation():
-    with pytest.raises(ValueError):
-        run_plfs(LUSTRE_LIKE, n1_strided(2, 10, 2), compression_ratio=0.5)
-
-
+# ------------------------------------------------------------- read-back
 def test_readback_conserves_bytes():
-    pattern = n1_strided(4, 32 * 1024, 4)
-    res = run_readback(LUSTRE_LIKE.with_servers(4), pattern, via_plfs=True, readers=2)
-    assert res.total_bytes == 4 * 32 * 1024 * 4
-    assert res.makespan_s > 0
+    """Every written byte is read back, from even logs and from logs the
+    jitter left uneven (the readers split each log, not the mean log)."""
+    even = n1_strided(4, 32 * 1024, 4)
+    uneven = with_jitter(even, np.random.default_rng(7), 0.3)
+    for pattern in (even, uneven):
+        for via_plfs in (False, True):
+            with obs_mod.use(obs_mod.Observability(name="readback")) as o:
+                res = run_readback(LUSTRE_LIKE.with_servers(4), pattern, via_plfs)
+            assert res.total_bytes == pattern_bytes(pattern)
+            assert o.metrics.snapshot()["counters"]["pfs.bytes_read"] == res.total_bytes
+            assert res.makespan_s > 0
+    assert pattern_bytes(uneven) != pattern_bytes(even)
 
 
 # ------------------------------------------------------------- small units

@@ -16,7 +16,7 @@ import pytest
 from repro.net.params import FabricParams, IDEAL_FABRIC
 from repro.pfs.params import GPFS_LIKE, LUSTRE_LIKE, PANFS_LIKE, PFSParams
 from repro.plfs.simbridge import run_direct_n1, run_plfs, run_readback
-from repro.workloads.ior import IORConfig, run_ior_sim
+from repro.workloads.patterns import n1_segmented, n1_strided
 
 #: (personality, pattern, scheme) -> makespan_s captured pre-refactor.
 GOLDEN_MAKESPANS = {
@@ -51,9 +51,10 @@ PERSONALITIES = {
     "gpfs-like": GPFS_LIKE,
 }
 
+#: the seed IOR runs: 4 ranks x 8 segments of 64 KiB
 SEED_IOR = {
-    pat: IORConfig(n_ranks=4, transfer_size=64 * 1024, segments=8, pattern=pat)
-    for pat in ("n1-strided", "n1-segmented")
+    "n1-strided": n1_strided(4, 64 * 1024, 8),
+    "n1-segmented": n1_segmented(4, 64 * 1024, 8),
 }
 
 
@@ -62,25 +63,23 @@ SEED_IOR = {
 def test_ideal_fabric_matches_pre_refactor_golden(pname, pattern):
     params = PERSONALITIES[pname]
     assert params.fabric is IDEAL_FABRIC
-    cfg = SEED_IOR[pattern]
-    direct = run_direct_n1(params, cfg.as_pattern())
-    plfs = run_plfs(params, cfg.as_pattern())
+    direct = run_direct_n1(params, SEED_IOR[pattern])
+    plfs = run_plfs(params, SEED_IOR[pattern])
     assert direct.makespan_s == GOLDEN_MAKESPANS[(pname, pattern, "direct")]
     assert plfs.makespan_s == GOLDEN_MAKESPANS[(pname, pattern, "plfs")]
 
 
 @pytest.mark.parametrize("via_plfs", [False, True])
 def test_ideal_fabric_readback_matches_golden(via_plfs):
-    cfg = SEED_IOR["n1-strided"]
-    res = run_readback(PFSParams(), cfg.as_pattern(), via_plfs=via_plfs)
+    res = run_readback(PFSParams(), SEED_IOR["n1-strided"], via_plfs=via_plfs)
     assert res.makespan_s == GOLDEN_READBACK[via_plfs]
 
 
 def test_explicit_ideal_fabric_equals_default():
-    """Passing fabric=IDEAL_FABRIC explicitly changes nothing."""
-    cfg = SEED_IOR["n1-strided"]
-    a = run_ior_sim(cfg, PFSParams(), via_plfs=False)
-    b = run_ior_sim(cfg, PFSParams(), via_plfs=False, fabric=IDEAL_FABRIC)
+    """Setting fabric=IDEAL_FABRIC explicitly changes nothing."""
+    pattern = SEED_IOR["n1-strided"]
+    a = run_direct_n1(PFSParams(), pattern)
+    b = run_direct_n1(PFSParams().with_fabric(IDEAL_FABRIC), pattern)
     assert a.makespan_s == b.makespan_s == GOLDEN_MAKESPANS[
         ("generic", "n1-strided", "direct")
     ]
@@ -100,28 +99,25 @@ def test_placement_none_keeps_goldens_bit_identical(pname, pattern):
     path: every pinned makespan stays bit-identical, striding and
     personality alike."""
     params = dataclasses.replace(PERSONALITIES[pname], placement=None)
-    cfg = SEED_IOR[pattern]
-    direct = run_direct_n1(params, cfg.as_pattern())
-    plfs = run_plfs(params, cfg.as_pattern())
+    direct = run_direct_n1(params, SEED_IOR[pattern])
+    plfs = run_plfs(params, SEED_IOR[pattern])
     assert direct.makespan_s == GOLDEN_MAKESPANS[(pname, pattern, "direct")]
     assert plfs.makespan_s == GOLDEN_MAKESPANS[(pname, pattern, "plfs")]
 
 
 @pytest.mark.parametrize("via_plfs", [False, True])
 def test_placement_none_keeps_readback_goldens(via_plfs):
-    cfg = SEED_IOR["n1-strided"]
     params = dataclasses.replace(PFSParams(), placement=None)
-    res = run_readback(params, cfg.as_pattern(), via_plfs=via_plfs)
+    res = run_readback(params, SEED_IOR["n1-strided"], via_plfs=via_plfs)
     assert res.makespan_s == GOLDEN_READBACK[via_plfs]
 
 
 def test_finite_buffers_change_the_answer():
     """A congested fabric is a different physical system: same pattern,
     strictly slower checkpoint than the ideal golden value."""
-    cfg = SEED_IOR["n1-strided"]
-    congested = run_ior_sim(
-        cfg, PFSParams(), via_plfs=False,
-        fabric=FabricParams(name="1GE-8pkt", buffer_pkts=8, seed=3),
+    congested = run_direct_n1(
+        PFSParams().with_fabric(FabricParams(name="1GE-8pkt", buffer_pkts=8, seed=3)),
+        SEED_IOR["n1-strided"],
     )
     assert congested.makespan_s > GOLDEN_MAKESPANS[("generic", "n1-strided", "direct")]
 

@@ -464,6 +464,36 @@ def test_request_scoped_traces_equal_the_parents():
     assert '"n_flows"' not in trace
 
 
+#: sha256 of the JSONL spans plus the metric snapshot of a small Fig-8
+#: ``speedup`` run, by fabric buffer (``None`` is the ideal fabric)
+SPEEDUP_TRACE_PINS = {
+    None: "e323355343ccadd78fce27e9d26bdca716a3327342e27c3ae54a8a9360801dd2",
+    16: "b444983e8c38dd9ed4395b07c4095dff182249f335918452ae23cf264e8e603e",
+}
+
+
+@pytest.mark.parametrize("buffer_pkts", list(SPEEDUP_TRACE_PINS))
+def test_speedup_trace_pinned(buffer_pkts):
+    """The direct and PLFS checkpoint drivers record the same spans and
+    metrics, byte for byte, as when each runner built its own harness."""
+    import hashlib
+
+    from repro.net.params import FabricParams
+    from repro.pfs import LUSTRE_LIKE
+    from repro.plfs.simbridge import speedup
+    from repro.workloads.patterns import n1_strided
+
+    params = LUSTRE_LIKE.with_servers(4)
+    if buffer_pkts is not None:
+        params = params.with_fabric(
+            FabricParams(name="pin", buffer_pkts=buffer_pkts, min_rto_s=1e-3, seed=13)
+        )
+    with obs_mod.use(Observability(name="fig8-pin")) as o:
+        speedup(params, n1_strided(8, 47 * 1024, 4))
+    digest = hashlib.sha256(_recorder_bytes(o).encode()).hexdigest()
+    assert digest == SPEEDUP_TRACE_PINS[buffer_pkts]
+
+
 def test_storm_recordings_are_byte_identical_across_runs():
     a, b = _recorder_bytes(_fluid_storm()[0]), _recorder_bytes(_fluid_storm()[0])
     assert a == b and a

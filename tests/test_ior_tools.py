@@ -6,7 +6,9 @@ from repro.pfs import LUSTRE_LIKE
 from repro.plfs import Plfs
 from repro.tools import fsstats as fsstats_cli
 from repro.tools import plfs as plfs_cli
-from repro.workloads.ior import IORConfig, run_ior_real, run_ior_sim
+from repro.plfs.simbridge import run_direct_n1, run_plfs
+from repro.workloads.ior import IORConfig, run_ior_real
+from repro.workloads.patterns import n1_strided, pattern_bytes
 
 
 # ------------------------------------------------------------- IOR config
@@ -34,8 +36,7 @@ def test_stamp_is_rank_segment_unique():
 def test_total_bytes_and_pattern():
     cfg = IORConfig(n_ranks=3, transfer_size=100, segments=2)
     assert cfg.total_bytes == 600
-    pat = cfg.as_pattern()
-    assert sum(n for ws in pat for _, n in ws) == 600
+    assert pattern_bytes(n1_strided(3, 100, 2)) == 600
 
 
 # ------------------------------------------------------------- IOR real
@@ -44,7 +45,7 @@ def test_ior_real_roundtrip_strided(tmp_path):
     cfg = IORConfig(n_ranks=3, transfer_size=512, segments=4, pattern="n1-strided")
     res = run_ior_real(cfg, fs)
     assert res.verified
-    assert res.write_MBps > 0 and res.read_MBps > 0
+    assert res.write_s > 0 and res.read_s > 0
     assert fs.stat("/ior.out")["size"] == cfg.total_bytes
 
 
@@ -56,9 +57,9 @@ def test_ior_real_roundtrip_segmented(tmp_path):
 
 
 def test_ior_sim_plfs_beats_direct():
-    cfg = IORConfig(n_ranks=16, transfer_size=47 * 1024, segments=6)
-    direct = run_ior_sim(cfg, LUSTRE_LIKE.with_servers(8), via_plfs=False)
-    plfs = run_ior_sim(cfg, LUSTRE_LIKE.with_servers(8), via_plfs=True)
+    pattern = n1_strided(16, 47 * 1024, 6)
+    direct = run_direct_n1(LUSTRE_LIKE.with_servers(8), pattern)
+    plfs = run_plfs(LUSTRE_LIKE.with_servers(8), pattern)
     assert plfs.bandwidth_Bps > 2.0 * direct.bandwidth_Bps
 
 

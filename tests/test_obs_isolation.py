@@ -10,9 +10,10 @@ state bleeds between runs.
 
 from repro import obs as obs_mod
 from repro.pfs.params import PFSParams
-from repro.workloads.ior import IORConfig, run_ior_sim
+from repro.plfs.simbridge import run_direct_n1
+from repro.workloads.patterns import n1_strided
 
-CFG = IORConfig(n_ranks=4, transfer_size=64 * 1024, segments=4, pattern="n1-strided")
+PATTERN = n1_strided(4, 64 * 1024, 4)
 
 
 def test_a_leak_an_activated_bundle_on_purpose():
@@ -32,7 +33,7 @@ def test_identical_runs_produce_identical_metrics():
     snapshots = []
     for _ in range(2):
         with obs_mod.use(obs_mod.Observability(name="det")) as o:
-            run_ior_sim(CFG, PFSParams(), via_plfs=False)
+            run_direct_n1(PFSParams(), PATTERN)
             snapshots.append(o.metrics.snapshot())
     assert snapshots[0] == snapshots[1]
     assert snapshots[0]["counters"]  # non-trivial: the run was instrumented
@@ -47,8 +48,8 @@ def test_identical_congestion_runs_are_deterministic():
     results = []
     for _ in range(2):
         with obs_mod.use(obs_mod.Observability(name="det-cong")) as o:
-            res = run_ior_sim(
-                CFG, PFSParams(fabric=fabric), via_plfs=False, placement="congestion"
+            res = run_direct_n1(
+                PFSParams(fabric=fabric, placement="congestion"), PATTERN
             )
             results.append((res.makespan_s, o.metrics.snapshot()))
     assert results[0][0] == results[1][0]

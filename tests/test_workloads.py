@@ -9,7 +9,6 @@ from repro.workloads import (
     APP_CATALOG,
     S3DWeakScaling,
     app_pattern,
-    flash_like,
     iozone_bandwidth_sweep,
     iozone_random_iops,
     n1_segmented,
@@ -92,7 +91,7 @@ def test_app_pattern_deterministic_with_seed():
 
 
 def test_flash_records_smaller_than_chombo():
-    f = flash_like(2)
+    f = app_pattern(APP_CATALOG["flash"], 2)
     c = app_pattern(APP_CATALOG["chombo"], 2)
     f_mean = np.mean([n for _, n in _all_offsets(f)])
     c_mean = np.mean([n for _, n in _all_offsets(c)])

@@ -14,8 +14,8 @@ decorator line, for a decorated function).  The consumers are:
 - the console scripts ``repro-plfs`` (all four subcommands, on a
   container written here) and ``repro-fsstats``, and
   ``repro.obs.report --selftest``;
-- every doctest: the fenced examples of ``docs/*.md`` and the
-  docstrings of every ``repro`` module.
+- every doctest: the fenced examples of ``README.md`` and
+  ``docs/*.md`` and the docstrings of every ``repro`` module.
 
 The tier-1 tests are deliberately not consumers: a test that pins only
 the function it tests is no reason to keep that function.
@@ -174,7 +174,7 @@ def run_clis() -> None:
 def run_doctests() -> None:
     failed = 0
     with contextlib.redirect_stdout(io.StringIO()):
-        for doc in sorted((ROOT / "docs").glob("*.md")):
+        for doc in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
             failed += doctest.testfile(str(doc), module_relative=False).failed
         import repro
 
